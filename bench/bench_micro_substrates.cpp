@@ -131,8 +131,9 @@ void BM_ForestFitClassA(benchmark::State &State) {
 }
 BENCHMARK(BM_ForestFitClassA)->Arg(0)->Arg(1);
 
-// Columnar batch inference vs the row-by-row virtual-dispatch loop it
-// replaced (both produce bit-identical predictions).
+// Batch inference (the flat tree-major walk, four rows in flight) vs
+// row-by-row predict() calls, which walk the same arrays one row at a
+// time (both produce bit-identical predictions).
 void BM_ForestPredictBatch(benchmark::State &State) {
   ml::Dataset Train = randomDataset(277, 6, 13);
   ml::Dataset Test = randomDataset(512, 6, 14);
@@ -162,9 +163,9 @@ BENCHMARK(BM_ForestPredictBatch)->Arg(0)->Arg(1);
 // Quantized fixed-point batch inference vs the FP reference it was built
 // from (predictions agree within ml/QuantizedModel's documented 1e-4
 // relative-error bound). Arg(0): int64 LR dot-product kernel vs FP LR;
-// Arg(1): branchless flattened-arena forest walk vs FP pointer-chasing
-// forest. Even rows fp, odd rows quantized, so the gate can compare two
-// entries of one report via check_speedup.py --key-b.
+// Arg(1): the shared flat forest walk over int32 rows vs the same walk
+// over double rows. Even rows fp, odd rows quantized, so the gate can
+// compare two entries of one report via check_speedup.py --key-b.
 void BM_QuantizedPredictBatch(benchmark::State &State) {
   ml::Dataset Train = randomDataset(277, 6, 21);
   ml::Dataset Test = randomDataset(4096, 6, 22);

@@ -24,6 +24,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 
 using namespace slope;
 using namespace slope::core;
@@ -37,14 +38,17 @@ std::vector<std::string> pa4Names() {
   return {Pa[0], Pa[1], Pa[3], Pa[7]};
 }
 
-ModelFamily parseFamily(const std::string &Name) {
+/// \returns the model family \p Name names, or nothing for an unknown name.
+std::optional<ModelFamily> parseFamily(const std::string &Name) {
   if (Name == "lr")
     return ModelFamily::LR;
+  if (Name == "rf")
+    return ModelFamily::RF;
   if (Name == "nn")
     return ModelFamily::NN;
   if (Name == "knn")
     return ModelFamily::Knn;
-  return ModelFamily::RF;
+  return std::nullopt;
 }
 
 } // namespace
@@ -99,6 +103,20 @@ int main(int Argc, char **Argv) {
       Drift = std::strtod(Rest[++I].c_str(), nullptr);
     }
   }
+  // Unknown values are errors, reported before any set-up or training.
+  const std::optional<ModelFamily> FamilyKind = parseFamily(Family);
+  if (!FamilyKind) {
+    std::fprintf(stderr,
+                 "error: unknown --family '%s' (accepted: lr, rf, nn, knn)\n",
+                 Family.c_str());
+    return 2;
+  }
+  if (Retrain != "rls" && Retrain != "refit" && Retrain != "off") {
+    std::fprintf(stderr,
+                 "error: unknown --retrain '%s' (accepted: rls, refit, off)\n",
+                 Retrain.c_str());
+    return 2;
+  }
   // An explicit --retrain (including "off") opts into label scoring, so
   // `--retrain off` reports the frozen model's staleness_error as the
   // baseline the retrained runs are compared against. Without the flag
@@ -126,7 +144,7 @@ int main(int Argc, char **Argv) {
 
   Expected<OnlineEstimator> Estimator =
       OnlineEstimator::train(M, Meter, pa4Names(), TrainingApps,
-                             parseFamily(Family), /*Seed=*/1);
+                             *FamilyKind, /*Seed=*/1);
   if (!Estimator) {
     std::fprintf(stderr, "error: %s\n",
                  Estimator.error().message().c_str());

@@ -473,6 +473,23 @@ double DecisionTree::predictRow(const double *Features) const {
   return N->LeafValue;
 }
 
+FlatTree<double> DecisionTree::flatten() const {
+  assert(Fitted && "flattening an unfitted tree");
+  FlatTree<double> Out;
+  Out.Depth = MaxFittedDepth;
+  Out.Nodes.reserve(Nodes.size());
+  for (uint32_t I = 0; I < Nodes.size(); ++I) {
+    const Node &N = Nodes[I];
+    if (N.isLeaf())
+      Out.Nodes.push_back({N.LeafValue, 0, {I, I}});
+    else
+      Out.Nodes.push_back({N.Threshold, static_cast<uint32_t>(N.Feature),
+                           {static_cast<uint32_t>(N.Left),
+                            static_cast<uint32_t>(N.Right)}});
+  }
+  return Out;
+}
+
 std::vector<double> DecisionTree::predictBatch(const Dataset &Data) const {
   assert(Fitted && "predicting with an unfitted tree");
   std::vector<double> Out(Data.numRows());

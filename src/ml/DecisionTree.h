@@ -30,6 +30,7 @@
 #ifndef SLOPE_ML_DECISIONTREE_H
 #define SLOPE_ML_DECISIONTREE_H
 
+#include "ml/FlatForest.h"
 #include "ml/Model.h"
 #include "support/Rng.h"
 
@@ -121,6 +122,12 @@ public:
 
   /// \returns the number of nodes in the fitted tree.
   size_t numNodes() const { return Nodes.size(); }
+
+  /// \returns the fitted tree in the flat inference form of
+  /// ml/FlatForest.h. The one producer of that form: RandomForest stores
+  /// its trees through it, and QuantizedModel::build flattens a lone tree
+  /// through it.
+  FlatTree<double> flatten() const;
 
   /// \returns the maximum depth actually reached (root = 0), tracked
   /// during growth.

@@ -165,63 +165,52 @@ QuantizedModel::build(std::unique_ptr<Model> Reference,
     return Q;
   }
 
-  // Trees and forests share the flattened-arena kernel.
-  std::vector<const DecisionTree *> Trees;
+  // Trees and forests: quantize the FP forest's flat arrays. A lone tree
+  // goes through the producer the forest's trees went through.
+  FlatForest<double> LoneTree;
+  const FlatForest<double> *Flat = nullptr;
   if (const auto *Tree = dynamic_cast<const DecisionTree *>(Reference.get())) {
-    Trees.push_back(Tree);
+    LoneTree.Trees.push_back(Tree->flatten());
+    Flat = &LoneTree;
   } else if (const auto *Forest =
                  dynamic_cast<const RandomForest *>(Reference.get())) {
-    for (size_t T = 0; T < Forest->numTrees(); ++T)
-      Trees.push_back(&Forest->tree(T));
+    Flat = &Forest->flat();
   }
-  if (!Trees.empty()) {
+  if (Flat) {
     Q->ModelKind = Kind::Forest;
     double MaxAbsLeaf = 0;
-    size_t TotalNodes = 0;
-    for (const DecisionTree *Tree : Trees) {
-      TotalNodes += Tree->numNodes();
-      for (size_t I = 0; I < Tree->numNodes(); ++I) {
-        const DecisionTree::NodeView N = Tree->node(I);
-        if (N.Feature == SIZE_MAX)
-          MaxAbsLeaf = std::max(MaxAbsLeaf, std::fabs(N.LeafValue));
+    for (const FlatTree<double> &In : Flat->Trees)
+      for (const FlatNode<double> &N : In.Nodes) {
+        if (N.isLeaf())
+          MaxAbsLeaf = std::max(MaxAbsLeaf, std::fabs(N.Value));
         else if (N.Feature >= Width)
           return makeError("calibration width does not match the fitted "
                            "model");
       }
-    }
     Q->OutputBase = MaxAbsLeaf > 0 ? floorPow2(LeafCapQuanta / MaxAbsLeaf)
                                    : std::exp2(40);
     Q->DequantScale =
-        1.0 / (Q->OutputBase * static_cast<double>(Trees.size()));
-    Q->Nodes.reserve(TotalNodes);
-    Q->LeafQ.reserve(TotalNodes);
-    Q->Roots.reserve(Trees.size());
-    Q->Depths.reserve(Trees.size());
-    for (const DecisionTree *Tree : Trees) {
-      const uint32_t Base = static_cast<uint32_t>(Q->Nodes.size());
-      Q->Roots.push_back(Base);
-      Q->Depths.push_back(static_cast<uint8_t>(Tree->fittedDepth()));
-      for (size_t I = 0; I < Tree->numNodes(); ++I) {
-        const DecisionTree::NodeView N = Tree->node(I);
-        QNode Out;
-        if (N.Feature == SIZE_MAX) {
-          // Leaf: self-loop on a comparison that reads feature 0; the
-          // walk stays put for its remaining fixed-depth iterations.
-          Out.Thresh = INT32_MAX;
-          Out.Feat = 0;
-          Out.Child[0] = Out.Child[1] = static_cast<int32_t>(Base + I);
-          Q->LeafQ.push_back(std::llround(N.LeafValue * Q->OutputBase));
+        1.0 / (Q->OutputBase * static_cast<double>(Flat->numTrees()));
+    // Same shape, same children; thresholds become feature quanta, and
+    // each leaf's output quanta go to LeafValues, which the leaf indexes.
+    Q->Forest.Trees.resize(Flat->numTrees());
+    for (size_t T = 0; T < Flat->numTrees(); ++T) {
+      const FlatTree<double> &In = Flat->Trees[T];
+      FlatTree<int32_t> &Out = Q->Forest.Trees[T];
+      Out.Depth = In.Depth;
+      Out.Nodes.reserve(In.Nodes.size());
+      for (const FlatNode<double> &N : In.Nodes) {
+        FlatNode<int32_t> QN{0, N.Feature, {N.Child[0], N.Child[1]}};
+        if (N.isLeaf()) {
+          QN.Value = static_cast<int32_t>(Q->Forest.LeafValues.size());
+          Q->Forest.LeafValues.push_back(
+              std::llround(N.Value * Q->OutputBase));
         } else {
-          const double ScaledT = N.Threshold * Q->QuantScale[N.Feature];
-          const double Clamped =
-              std::max(-1073741824.0, std::min(1073741824.0, ScaledT));
-          Out.Thresh = static_cast<int32_t>(std::llround(Clamped));
-          Out.Feat = static_cast<uint16_t>(N.Feature);
-          Out.Child[0] = static_cast<int32_t>(Base) + N.Left;
-          Out.Child[1] = static_cast<int32_t>(Base) + N.Right;
-          Q->LeafQ.push_back(0);
+          const double ScaledT = N.Value * Q->QuantScale[N.Feature];
+          QN.Value = static_cast<int32_t>(std::llround(
+              std::max(-1073741824.0, std::min(1073741824.0, ScaledT))));
         }
-        Q->Nodes.push_back(Out);
+        Out.Nodes.push_back(QN);
       }
     }
     Q->Ref = std::move(Reference);
@@ -279,20 +268,6 @@ int64_t QuantizedModel::predictLinear(const int32_t *QRow) const {
   return Acc;
 }
 
-int64_t QuantizedModel::predictForest(const int32_t *QRow) const {
-  int64_t Acc = 0;
-  const QNode *Arena = Nodes.data();
-  for (size_t T = 0; T < Roots.size(); ++T) {
-    uint32_t I = Roots[T];
-    for (unsigned D = Depths[T]; D-- > 0;) {
-      const QNode &N = Arena[I];
-      I = static_cast<uint32_t>(N.Child[QRow[N.Feat] > N.Thresh]);
-    }
-    Acc += LeafQ[I];
-  }
-  return Acc;
-}
-
 int64_t QuantizedModel::predictKnn(const int32_t *QRow) const {
   const size_t Width = QuantScale.size();
   const size_t N = KnnTargets.size();
@@ -336,8 +311,11 @@ int64_t QuantizedModel::predictQuantized(const int32_t *QRow) const {
   switch (ModelKind) {
   case Kind::Linear:
     return predictLinear(QRow);
-  case Kind::Forest:
-    return predictForest(QRow);
+  case Kind::Forest: {
+    int64_t Acc;
+    sumForestLeaves(Forest, 1, [QRow](size_t) { return QRow; }, &Acc);
+    return Acc;
+  }
   case Kind::Knn:
     return predictKnn(QRow);
   }
@@ -376,60 +354,12 @@ void QuantizedModel::predictQuantizedMany(const int32_t *Rows,
     }
     return;
   }
-  case Kind::Forest: {
-    if (!Indices) {
-      // Tree-major with four rows in flight: a row-major walk is one
-      // dependent load chain per row (every node load waits on the
-      // previous one), while four independent walks saturate the load
-      // ports, and visiting one tree across the whole batch keeps that
-      // tree's arena slice cache-hot for 4+ reuses per node instead of
-      // touching every tree per row. Same int64 tree sum per row, just
-      // reordered — integer accumulation is exact, so the result is
-      // bit-identical to predictForest.
-      std::fill(Out, Out + N, INT64_C(0));
-      const QNode *Arena = Nodes.data();
-      const int64_t *Leaf = LeafQ.data();
-      for (size_t T = 0; T < Roots.size(); ++T) {
-        const uint32_t Root = Roots[T];
-        const unsigned Depth = Depths[T];
-        size_t I = 0;
-        for (; I + 4 <= N; I += 4) {
-          const int32_t *R0 = Rows + I * Width;
-          const int32_t *R1 = R0 + Width;
-          const int32_t *R2 = R1 + Width;
-          const int32_t *R3 = R2 + Width;
-          uint32_t N0 = Root, N1 = Root, N2 = Root, N3 = Root;
-          for (unsigned D = Depth; D-- > 0;) {
-            const QNode &A0 = Arena[N0];
-            N0 = static_cast<uint32_t>(A0.Child[R0[A0.Feat] > A0.Thresh]);
-            const QNode &A1 = Arena[N1];
-            N1 = static_cast<uint32_t>(A1.Child[R1[A1.Feat] > A1.Thresh]);
-            const QNode &A2 = Arena[N2];
-            N2 = static_cast<uint32_t>(A2.Child[R2[A2.Feat] > A2.Thresh]);
-            const QNode &A3 = Arena[N3];
-            N3 = static_cast<uint32_t>(A3.Child[R3[A3.Feat] > A3.Thresh]);
-          }
-          Out[I] += Leaf[N0];
-          Out[I + 1] += Leaf[N1];
-          Out[I + 2] += Leaf[N2];
-          Out[I + 3] += Leaf[N3];
-        }
-        for (; I < N; ++I) {
-          const int32_t *R = Rows + I * Width;
-          uint32_t Node = Root;
-          for (unsigned D = Depth; D-- > 0;) {
-            const QNode &A = Arena[Node];
-            Node = static_cast<uint32_t>(A.Child[R[A.Feat] > A.Thresh]);
-          }
-          Out[I] += Leaf[Node];
-        }
-      }
-      return;
-    }
-    for (size_t I = 0; I < N; ++I)
-      Out[I] = predictForest(Rows + Indices[I] * Width);
+  case Kind::Forest:
+    sumForestLeaves(
+        Forest, N,
+        [=](size_t I) { return Rows + (Indices ? Indices[I] : I) * Width; },
+        Out);
     return;
-  }
   case Kind::Knn:
     for (size_t I = 0; I < N; ++I)
       Out[I] = predictKnn(Rows + (Indices ? Indices[I] : I) * Width);
@@ -453,8 +383,7 @@ std::vector<double> QuantizedModel::predictBatch(const Dataset &Data) const {
   const size_t Width = QuantScale.size();
   // Quantize column by column (one streaming pass per feature), then run
   // the batched integer kernel over the contiguous rows — identical
-  // arithmetic to predict() (the forest kernel only reorders an exact
-  // int64 sum), so the two paths agree bit for bit.
+  // arithmetic to predict(), so the two paths agree bit for bit.
   std::vector<int32_t> QBuf(N * Width);
   for (size_t F = 0; F < Width; ++F) {
     const double *Col = Data.column(F);

@@ -26,13 +26,12 @@
 ///    of a fixed 1e-12. The dot product is pure int64 adds/multiplies
 ///    (term <= 2^56, so up to 64 features cannot overflow) with a single
 ///    final rescale.
-///  * Trees / forests: nodes are flattened into one contiguous arena of
-///    16-byte nodes (int32 threshold in feature quanta, uint16 feature,
-///    two absolute child indices); leaves self-loop, so the walk is
-///    branchless — node = child[q[feat] > thresh] for the tree's fitted
-///    depth — with no pointer chasing. Leaf values are int64 quanta on an
-///    output base chosen from the trained leaf range; forest predictions
-///    accumulate in int64 (<= 2^44 per leaf, so thousands of trees fit).
+///  * Trees / forests: the FP forest's flat arrays (ml/FlatForest.h) are
+///    quantized node for node — same shape, same children, int32
+///    thresholds in feature quanta, leaf values as int64 quanta on an
+///    output base chosen from the trained leaf range — and served by the
+///    same templated walk as the FP forest, over int32 rows with an int64
+///    accumulator (<= 2^44 per leaf, so thousands of trees fit).
 ///  * k-NN: squared distances in standardized space are exact int64 sums
 ///    over quantized rows; the k-element vote itself stays FP (it is not
 ///    on the O(N) hot path) and its result is published in output quanta.
@@ -51,10 +50,10 @@
 #ifndef SLOPE_ML_QUANTIZEDMODEL_H
 #define SLOPE_ML_QUANTIZEDMODEL_H
 
+#include "ml/FlatForest.h"
 #include "ml/Model.h"
 #include "stats/SimdKernels.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -115,21 +114,25 @@ public:
   /// calibration target.
   static constexpr int64_t SaturationQuanta = INT64_C(1) << 28;
 
-  /// Quantizes one value: round(X * Scale + Offset), saturated. The
-  /// single place the rounding rule lives, so predict, predictBatch, and
-  /// the serving engine's ingest-time quantization cannot drift apart.
-  /// On x86-64 the rounding is a single cvtsd2si (round-to-nearest-even
-  /// under the default MXCSR mode) — std::llround is a libm call the
-  /// compiler cannot inline without -fno-math-errno, and this runs once
-  /// per feature per served observation.
+  /// Quantizes one value: round(X * Scale + Offset), saturated — the
+  /// rule of stats::quantizeScaleClamp, which quantizeRow() runs: clamp
+  /// to +/-2^28 in the double domain (max, then min, so NaN maps to
+  /// -2^28 and +/-Inf saturate with their sign), then round to nearest
+  /// even with one cvtsd2si on x86-64 (std::llround is a libm call the
+  /// compiler cannot inline without -fno-math-errno).
   static int32_t quantizeValue(double X, double Scale, double Offset) {
+    const double Sat = static_cast<double>(SaturationQuanta);
 #if defined(__x86_64__) || defined(_M_X64)
-    const int64_t Q = _mm_cvtsd_si64(_mm_set_sd(X * Scale + Offset));
+    const __m128d V = _mm_min_sd(
+        _mm_max_sd(_mm_set_sd(X * Scale + Offset), _mm_set_sd(-Sat)),
+        _mm_set_sd(Sat));
+    return _mm_cvtsd_si32(V);
 #else
-    const int64_t Q = std::llround(X * Scale + Offset);
+    double V = X * Scale + Offset;
+    V = V > -Sat ? V : -Sat;
+    V = V < Sat ? V : Sat;
+    return static_cast<int32_t>(std::llround(V));
 #endif
-    return static_cast<int32_t>(
-        std::max(-SaturationQuanta, std::min(SaturationQuanta, Q)));
   }
 
   /// Quantized models are built from fitted FP models, never fitted
@@ -189,18 +192,9 @@ public:
 private:
   QuantizedModel() = default;
 
-  /// One flattened tree node: go to Child[q[Feat] > Thresh]. Leaves point
-  /// both children at themselves, which keeps the walk branchless.
-  struct QNode {
-    int32_t Thresh;
-    uint16_t Feat;
-    int32_t Child[2];
-  };
-
   enum class Kind { Linear, Forest, Knn };
 
   int64_t predictLinear(const int32_t *QRow) const;
-  int64_t predictForest(const int32_t *QRow) const;
   int64_t predictKnn(const int32_t *QRow) const;
 
   std::unique_ptr<Model> Ref;
@@ -217,11 +211,8 @@ private:
   std::vector<int64_t> WeightQ;
   int64_t BiasQ = 0;
 
-  // Forest kernel: one arena over all trees, per-tree roots and depths.
-  std::vector<QNode> Nodes;
-  std::vector<int64_t> LeafQ;     ///< Leaf value quanta per arena node.
-  std::vector<uint32_t> Roots;
-  std::vector<uint8_t> Depths;    ///< Fitted depth per tree (walk length).
+  // Forest kernel: the reference's flat arrays, quantized.
+  FlatForest<int32_t, int64_t> Forest;
 
   // k-NN kernel: quantized standardized training rows + raw targets.
   std::vector<int32_t> KnnRows;   ///< Flat row-major (N x width).

@@ -10,6 +10,7 @@
 #include "support/ThreadPool.h"
 
 #include <cmath>
+#include <memory>
 
 using namespace slope;
 using namespace slope::ml;
@@ -48,8 +49,10 @@ Expected<bool> RandomForest::fit(const Dataset &Training) {
 
   Rng ForestRng(Options.Seed);
   size_t N = Training.numRows();
-  Trees.clear();
-  Trees.resize(Options.NumTrees);
+  // Each task stores its tree's flat form and releases the DecisionTree
+  // that grew it; a failed fit leaves its tree without nodes.
+  FlatForest<double> Grown;
+  Grown.Trees.resize(Options.NumTrees);
   std::vector<std::vector<bool>> InBags(Options.NumTrees);
   std::vector<std::vector<double>> OobPreds(Options.NumTrees);
   std::vector<std::string> FitErrors(Options.NumTrees);
@@ -65,13 +68,12 @@ Expected<bool> RandomForest::fit(const Dataset &Training) {
 
     DecisionTreeOptions TreeOptions = Options.Tree;
     TreeOptions.MaxFeatures = Mtry;
-    auto Tree = std::make_unique<DecisionTree>(TreeOptions,
-                                               TreeRng.fork("splits"));
+    DecisionTree Tree(TreeOptions, TreeRng.fork("splits"));
     Expected<bool> Fit = [&] {
       // Charged to the tree-fit phase so perf gates can compare growth
       // kernels without the bootstrap/OOB work that both algorithms share.
       ScopedPhase Timer(Phase::ForestTreeFit);
-      return Tree->fitRows(Training, Bootstrap, Master.get());
+      return Tree.fitRows(Training, Bootstrap, Master.get());
     }();
     if (!Fit) {
       FitErrors[T] = Fit.error().message();
@@ -83,18 +85,18 @@ Expected<bool> RandomForest::fit(const Dataset &Training) {
     for (size_t R = 0; R < N; ++R)
       if (!InBag[R]) {
         Training.gatherRow(R, RowBuf);
-        Preds[R] = Tree->predictRow(RowBuf.data());
+        Preds[R] = Tree.predictRow(RowBuf.data());
       }
-    Trees[T] = std::move(Tree);
+    Grown.Trees[T] = Tree.flatten();
     InBags[T] = std::move(InBag);
     OobPreds[T] = std::move(Preds);
   });
 
   for (size_t T = 0; T < Options.NumTrees; ++T)
-    if (!Trees[T]) {
-      Trees.clear();
+    if (Grown.Trees[T].Nodes.empty())
       return makeError(FitErrors[T]);
-    }
+  Flat = std::move(Grown);
+  Width = Training.numFeatures();
 
   // Out-of-bag bookkeeping: sum/count of OOB predictions per row.
   std::vector<double> OobSum(N, 0.0);
@@ -124,23 +126,32 @@ Expected<bool> RandomForest::fit(const Dataset &Training) {
 
 double RandomForest::predict(const std::vector<double> &Features) const {
   assert(Fitted && "predicting with an unfitted forest");
-  double Sum = 0;
-  for (const auto &Tree : Trees)
-    Sum += Tree->predict(Features);
-  return Sum / static_cast<double>(Trees.size());
+  assert(Features.size() == Width &&
+         "feature width does not match the fitted forest");
+  double Sum;
+  sumForestLeaves(Flat, 1, [&](size_t) { return Features.data(); }, &Sum);
+  return Sum / static_cast<double>(Flat.numTrees());
 }
 
 std::vector<double> RandomForest::predictBatch(const Dataset &Data) const {
   assert(Fitted && "predicting with an unfitted forest");
-  std::vector<double> Out(Data.numRows());
-  std::vector<double> RowBuf;
-  for (size_t R = 0; R < Data.numRows(); ++R) {
-    Data.gatherRow(R, RowBuf);
-    // Trees accumulate in ensemble order, matching predict() bit for bit.
-    double Sum = 0;
-    for (const auto &Tree : Trees)
-      Sum += Tree->predictRow(RowBuf.data());
-    Out[R] = Sum / static_cast<double>(Trees.size());
+  assert(Data.numFeatures() == Width &&
+         "feature width does not match the fitted forest");
+  // Each walk step reads one feature of one row, so the walk wants rows
+  // contiguous: transpose the columnar batch once.
+  const size_t N = Data.numRows();
+  std::vector<double> Rows(N * Width);
+  for (size_t F = 0; F < Width; ++F) {
+    const double *Col = Data.column(F);
+    for (size_t R = 0; R < N; ++R)
+      Rows[R * Width + F] = Col[R];
   }
+  // Leaves accumulate in ensemble order and divide once, matching
+  // predict() bit for bit.
+  std::vector<double> Out(N);
+  sumForestLeaves(
+      Flat, N, [&](size_t R) { return Rows.data() + R * Width; }, Out.data());
+  for (double &P : Out)
+    P /= static_cast<double>(Flat.numTrees());
   return Out;
 }

@@ -19,8 +19,6 @@
 
 #include "ml/DecisionTree.h"
 
-#include <memory>
-
 namespace slope {
 namespace ml {
 
@@ -34,7 +32,9 @@ struct RandomForestOptions {
   uint64_t Seed = 0xF0535;
 };
 
-/// Bagged CART ensemble.
+/// Bagged CART ensemble. After fit the forest keeps only the flat form
+/// of its trees (ml/FlatForest.h); the DecisionTree objects that grew them
+/// are released inside each tree's fit task.
 class RandomForest : public Model {
 public:
   explicit RandomForest(RandomForestOptions Options = RandomForestOptions())
@@ -45,13 +45,13 @@ public:
   std::vector<double> predictBatch(const Dataset &Data) const override;
   std::string name() const override { return "RF"; }
 
-  size_t numTrees() const { return Trees.size(); }
+  size_t numTrees() const { return Flat.numTrees(); }
 
-  /// The \p I-th fitted tree, in ensemble order. Valid after fit; used by
-  /// QuantizedModel::build to flatten the ensemble into one node arena.
-  const DecisionTree &tree(size_t I) const {
-    assert(Fitted && I < Trees.size() && "tree index out of range");
-    return *Trees[I];
+  /// The fitted trees in flat form, in ensemble order. QuantizedModel::build
+  /// quantizes these arrays.
+  const FlatForest<double> &flat() const {
+    assert(Fitted && "model not fitted");
+    return Flat;
   }
 
   /// Out-of-bag mean-squared error estimated during fit; NaN if no row was
@@ -63,7 +63,8 @@ public:
 
 private:
   RandomForestOptions Options;
-  std::vector<std::unique_ptr<DecisionTree>> Trees;
+  FlatForest<double> Flat;
+  size_t Width = 0; ///< Feature count of the training data.
   double OobMse = 0;
   bool Fitted = false;
 };

@@ -8,7 +8,6 @@
 
 #include "support/CpuFeatures.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -99,7 +98,9 @@ void stats::quantizeScaleClamp(const double *X, const double *Scale,
   // Clamping before the conversion is equivalent to round-then-clamp for
   // finite inputs: the clamp bound is a power of two (exactly
   // representable), values inside the range are untouched, and values
-  // outside round to a magnitude >= the bound either way.
+  // outside round to a magnitude >= the bound either way. It also keeps
+  // out-of-range conversions, whose result would be INT_MIN, from ever
+  // happening. The odd-width tail clamps the same way, one lane wide.
   const __m128d Lo = _mm_set1_pd(-ClampD);
   const __m128d Hi = _mm_set1_pd(ClampD);
   for (; I + 2 <= N; I += 2) {
@@ -111,14 +112,18 @@ void stats::quantizeScaleClamp(const double *X, const double *Scale,
                      _mm_cvtpd_epi32(V));
   }
   for (; I < N; ++I) {
-    const int64_t Q =
-        _mm_cvtsd_si64(_mm_set_sd(X[I] * Scale[I] + Offset[I]));
-    Out[I] = static_cast<int32_t>(std::max(-Clamp, std::min(Clamp, Q)));
+    __m128d V = _mm_set_sd(X[I] * Scale[I] + Offset[I]);
+    V = _mm_min_sd(_mm_max_sd(V, Lo), Hi);
+    Out[I] = _mm_cvtsd_si32(V);
   }
 #else
+  // Same clamp and operand order as the vector kernels: a NaN fails both
+  // comparisons and takes the lower bound.
   for (; I < N; ++I) {
-    const int64_t Q = std::llround(X[I] * Scale[I] + Offset[I]);
-    Out[I] = static_cast<int32_t>(std::max(-Clamp, std::min(Clamp, Q)));
+    double V = X[I] * Scale[I] + Offset[I];
+    V = V > -ClampD ? V : -ClampD;
+    V = V < ClampD ? V : ClampD;
+    Out[I] = static_cast<int32_t>(std::llround(V));
   }
 #endif
 }

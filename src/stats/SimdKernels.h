@@ -86,9 +86,14 @@ bool simdKSplitKernelsActive();
 
 /// Out[i] = round(X[i] * Scale[i] + Offset[i]) clamped to +/-Clamp, with
 /// round-to-nearest-even (cvtpd2dq semantics; the scalar fallback uses
-/// the identical single-value conversion). Column-parallel: the AVX2
-/// variant is eight-wide but element-wise, so results are bit-identical
-/// to the scalar reference. ml::QuantizedModel::quantizeRow routes here.
+/// the identical single-value conversion). The clamp runs in the double
+/// domain before rounding, max then min: +/-Inf and values beyond the
+/// bound saturate to +/-Clamp with their sign, and NaN maps to -Clamp.
+/// Every element goes through the same rule, vector body or tail, so a
+/// value quantizes alike at every column position and in every SIMD
+/// mode. Column-parallel: the AVX2 variant is eight-wide but
+/// element-wise, so results are bit-identical to the scalar reference.
+/// ml::QuantizedModel::quantizeRow routes here.
 void quantizeScaleClamp(const double *X, const double *Scale,
                         const double *Offset, size_t N, int64_t Clamp,
                         int32_t *Out);

@@ -297,9 +297,13 @@ void detail::quantizeScaleClampAvx2(const double *X, const double *Scale,
     _mm_storeu_si128(reinterpret_cast<__m128i *>(Out + I),
                      _mm256_cvtpd_epi32(V));
   }
+  // The tail clamps in the double domain too, with the same operand
+  // order, so a value quantizes alike at every column position.
   for (; I < N; ++I) {
-    const int64_t Q = _mm_cvtsd_si64(_mm_set_sd(X[I] * Scale[I] + Offset[I]));
-    Out[I] = static_cast<int32_t>(std::max(-Clamp, std::min(Clamp, Q)));
+    __m128d V = _mm_set_sd(X[I] * Scale[I] + Offset[I]);
+    V = _mm_min_sd(_mm_max_sd(V, _mm256_castpd256_pd128(Lo)),
+                   _mm256_castpd256_pd128(Hi));
+    Out[I] = _mm_cvtsd_si32(V);
   }
 }
 

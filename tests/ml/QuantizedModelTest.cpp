@@ -29,6 +29,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 using namespace slope;
 using namespace slope::ml;
@@ -210,6 +211,94 @@ TEST(QuantizedModel, PredictMatchesPredictBatchBitIdentical) {
       const double Single = (*Q)->predict(Test.row(R));
       EXPECT_EQ(std::memcmp(&Batch[R], &Single, sizeof(double)), 0)
           << (*Q)->name() << " row " << R;
+    }
+  }
+}
+
+/// Rows of \p Width features mixing in-range values with the values a
+/// glitching counter can produce: signed zeros, NaN, +/-Inf and huge
+/// magnitudes (quantization saturates them).
+Dataset hostileData(uint64_t Seed, size_t Rows, size_t Width) {
+  const double Specials[] = {0.0,
+                             -0.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             1e300,
+                             -1e300};
+  Dataset D = syntheticData(Seed, 0, Width);
+  Rng R(Seed);
+  for (size_t I = 0; I < Rows; ++I) {
+    std::vector<double> X(Width);
+    for (double &V : X)
+      V = R.below(3) == 0 ? Specials[R.below(std::size(Specials))]
+                          : R.uniform(-2, 12);
+    D.addRow(X, 0.0);
+  }
+  return D;
+}
+
+TEST(QuantizedModel, PredictQuantizedManyMatchesPerRowAtEveryTail) {
+  // The shared forest walk keeps four rows in flight; batch lengths
+  // 1..17 and 256 leave every tail of that block. Batched results,
+  // contiguous and indexed, must equal per-row predictQuantized exactly,
+  // for a forest and for a lone tree.
+  Dataset Train = syntheticData(30, 200, 4);
+  RandomForestOptions ForestOptions;
+  ForestOptions.NumTrees = 25;
+  std::vector<std::unique_ptr<Model>> Models;
+  Models.push_back(std::make_unique<RandomForest>(ForestOptions));
+  Models.push_back(std::make_unique<DecisionTree>());
+  std::vector<size_t> Sizes;
+  for (size_t N = 1; N <= 17; ++N)
+    Sizes.push_back(N);
+  Sizes.push_back(256);
+  for (auto &Fp : Models) {
+    ASSERT_TRUE(bool(Fp->fit(Train)));
+    auto Q = QuantizedModel::build(std::move(Fp), Train);
+    ASSERT_TRUE(bool(Q)) << Q.error().message();
+    const size_t W = (*Q)->featureWidth();
+    for (size_t N : Sizes) {
+      Dataset Rows = hostileData(31 + N, N, W);
+      std::vector<int32_t> QRows(N * W);
+      for (size_t R = 0; R < N; ++R)
+        (*Q)->quantizeRow(Rows.row(R).data(), QRows.data() + R * W);
+      std::vector<size_t> Reversed(N);
+      for (size_t I = 0; I < N; ++I)
+        Reversed[I] = N - 1 - I;
+      std::vector<int64_t> Many(N), Indexed(N);
+      (*Q)->predictQuantizedMany(QRows.data(), nullptr, N, Many.data());
+      (*Q)->predictQuantizedMany(QRows.data(), Reversed.data(), N,
+                                 Indexed.data());
+      for (size_t R = 0; R < N; ++R) {
+        const int64_t Single = (*Q)->predictQuantized(QRows.data() + R * W);
+        EXPECT_EQ(Many[R], Single) << (*Q)->name() << " batch " << N
+                                   << " row " << R;
+        EXPECT_EQ(Indexed[N - 1 - R], Single)
+            << (*Q)->name() << " indexed batch " << N << " row " << R;
+      }
+    }
+  }
+}
+
+TEST(QuantizedModel, PredictMatchesPredictBatchOnHostileValues) {
+  // predict() quantizes through stats::quantizeScaleClamp, predictBatch()
+  // through quantizeValue: on NaN, +/-Inf and huge features both must
+  // saturate alike at every column position. Widths 3 and 9 put columns
+  // in the SIMD kernel's vector body and in its scalar tail.
+  for (size_t Width : {3u, 9u}) {
+    Dataset Train = syntheticData(40 + Width, 120, Width);
+    auto Fp = std::make_unique<LinearRegression>();
+    ASSERT_TRUE(bool(Fp->fit(Train)));
+    auto Q = QuantizedModel::build(std::move(Fp), Train);
+    ASSERT_TRUE(bool(Q)) << Q.error().message();
+    Dataset Test = hostileData(50 + Width, 64, Width);
+    const std::vector<double> Batch = (*Q)->predictBatch(Test);
+    for (size_t R = 0; R < Test.numRows(); ++R) {
+      const double Single = (*Q)->predict(Test.row(R));
+      EXPECT_EQ(std::memcmp(&Batch[R], &Single, sizeof(double)), 0)
+          << "width " << Width << " row " << R << ": " << Batch[R]
+          << " vs " << Single;
     }
   }
 }

@@ -31,6 +31,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 using namespace slope;
@@ -180,6 +181,59 @@ TEST(SimdKernelTest, QuantizeScaleClampBitIdentical) {
     quantizeScaleClamp(X.data(), Scale.data(), Offset.data(), N, 1 << 20,
                        Got.data());
     EXPECT_EQ(Ref, Got) << "N=" << N;
+  }
+}
+
+TEST(SimdKernelTest, QuantizeScaleClampHostileValuesAgreeEverywhere) {
+  // Every value quantizes the same at every column position, vector body
+  // or tail, at widths 1..17 and in every mode: the clamp runs in the
+  // double domain before rounding, so +/-Inf and anything past the bound
+  // saturate with their sign and NaN maps to -Clamp.
+  ModeGuard Guard;
+  constexpr int32_t Clamp = 1 << 28;
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Denorm = std::numeric_limits<double>::denorm_min();
+  const double C = Clamp;
+  struct Case {
+    double X, Scale;
+    int32_t Expected;
+  };
+  const Case Cases[] = {
+      {1.4, 1, 1},
+      {-1.6, 1, -2},
+      {123456.7, 1, 123457},
+      {0.0, 1, 0},
+      {-0.0, 1, 0},
+      {Denorm, 1, 0},
+      {-Denorm, 1, 0},
+      {Inf, 1, Clamp},
+      {-Inf, 1, -Clamp},
+      {NaN, 1, -Clamp},
+      {1e300, 1, Clamp},
+      {-1e300, 1, -Clamp},
+      {1e300, 1e300, Clamp}, // the scaled value overflows to +Inf
+      {C + 1, 1, Clamp},
+      {C - 1, 1, Clamp - 1},
+      {-(C + 1), 1, -Clamp},
+      {-(C - 1), 1, -(Clamp - 1)},
+      {0x1p63, 1, Clamp},
+      {-0x1p63, 1, -Clamp},
+  };
+  for (SimdMode Mode : {SimdMode::Scalar, SimdMode::Auto, SimdMode::Avx2}) {
+    setDefaultSimdMode(Mode);
+    for (const Case &K : Cases)
+      for (size_t W = 1; W <= 17; ++W) {
+        const std::vector<double> X(W, K.X), Scale(W, K.Scale),
+            Offset(W, 0.0);
+        std::vector<int32_t> Out(W, 7);
+        quantizeScaleClamp(X.data(), Scale.data(), Offset.data(), W, Clamp,
+                           Out.data());
+        for (size_t P = 0; P < W; ++P)
+          EXPECT_EQ(Out[P], K.Expected)
+              << "x=" << K.X << " scale=" << K.Scale << " width " << W
+              << " column " << P << " mode " << resolvedSimdVariant();
+      }
   }
 }
 
