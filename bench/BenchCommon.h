@@ -68,14 +68,44 @@ inline unsigned &requestedThreads() {
   return Threads;
 }
 
-/// Parses the shared driver flags and \returns the remaining positional
-/// arguments. `--threads N` (or the SLOPE_THREADS environment variable)
-/// sizes the global experiment thread pool; parallel results are
-/// bit-identical at any setting, so the knob trades wall clock only.
-/// `--tree-algo naive|presorted` selects the decision-tree growth
-/// algorithm, `--nn-algo naive|batched` the neural-network training
-/// kernel, and `--synth-algo naive|batched` the counter-synthesis kernel
-/// (all bit-neutral; perf gates compare the two sides). `--infer-algo
+/// One shared bench flag, accepted as `--flag V` or `--flag=V`.
+struct SharedFlag {
+  const char *Name;
+  const char *Accepted; ///< Names the accepted values in the error.
+  /// Applies \p Value; \returns false when the value is not accepted.
+  bool (*Apply)(const std::string &Value);
+};
+
+/// \returns \p Value as an unsigned decimal count, or -1 when it is not
+/// one (empty, signed, non-digit, or more than nine digits).
+inline long long parseCount(const std::string &Value) {
+  if (Value.empty() || Value.size() > 9 ||
+      Value.find_first_not_of("0123456789") != std::string::npos)
+    return -1;
+  return std::stoll(Value);
+}
+
+/// Applies \p Value to the first of \p Choices whose name it equals;
+/// \returns false when none does.
+template <typename T, size_t N>
+bool applyChoice(const std::string &Value,
+                 const std::pair<const char *, T> (&Choices)[N],
+                 void (*Set)(T)) {
+  for (const auto &[Name, Choice] : Choices)
+    if (Value == Name) {
+      Set(Choice);
+      return true;
+    }
+  return false;
+}
+
+/// The shared bench flags, each declared once. `--threads N` (or the
+/// SLOPE_THREADS environment variable) sizes the global experiment thread
+/// pool, 0 meaning automatic; parallel results are bit-identical at any
+/// setting, so the knob trades wall clock only. `--tree-algo`, `--nn-algo`
+/// and `--synth-algo` select between the bit-identical naive reference
+/// and fast kernels of tree growth, neural-network training and counter
+/// synthesis (perf gates compare the two sides). `--infer-algo
 /// fp|quantized` (or SLOPE_INFER_ALGO) selects the inference kernel the
 /// model factories serve — unlike the bit-neutral switches it changes
 /// numerics within ml/QuantizedModel's documented error bound, so the CI
@@ -88,105 +118,132 @@ inline unsigned &requestedThreads() {
 /// auto (the default) enables only the bit-identical column-parallel
 /// AVX2 kernels, avx2 additionally opts into the reassociating K-split
 /// kernels, scalar forces the reference — see stats/SimdKernels.h.
-/// `--bench-json
-/// PATH` (or SLOPE_BENCH_JSON) writes a machine-readable timing summary
-/// to PATH without changing anything on stdout. `--sweep-repeat N`
-/// repeats the model sweep in benches that support it; `--profile-repeat
-/// N` likewise repeats the profiling campaign (extra passes discarded).
-/// google-benchmark style `--benchmark_*` flags are accepted and ignored
-/// so CI can pass one command line to every bench binary.
+/// `--bench-json PATH` (or SLOPE_BENCH_JSON) writes a machine-readable
+/// timing summary to PATH without changing anything on stdout.
+/// `--sweep-repeat N` repeats the model sweep in benches that support it;
+/// `--profile-repeat N` likewise repeats the profiling campaign (extra
+/// passes discarded).
+inline const std::vector<SharedFlag> &sharedFlags() {
+  using namespace slope;
+  static const std::vector<SharedFlag> Flags = {
+      {"--threads", "a count; 0 = automatic",
+       [](const std::string &V) {
+         long long N = parseCount(V);
+         if (N < 0)
+           return false;
+         requestedThreads() = static_cast<unsigned>(N);
+         ThreadPool::setGlobalThreadCount(requestedThreads());
+         return true;
+       }},
+      {"--tree-algo", "naive, presorted",
+       [](const std::string &V) {
+         static const std::pair<const char *, ml::TreeAlgorithm> C[] = {
+             {"naive", ml::TreeAlgorithm::Naive},
+             {"presorted", ml::TreeAlgorithm::Presorted}};
+         return applyChoice(V, C, ml::setDefaultTreeAlgorithm);
+       }},
+      {"--nn-algo", "naive, batched",
+       [](const std::string &V) {
+         static const std::pair<const char *, ml::NnAlgorithm> C[] = {
+             {"naive", ml::NnAlgorithm::Naive},
+             {"batched", ml::NnAlgorithm::Batched}};
+         return applyChoice(V, C, ml::setDefaultNnAlgorithm);
+       }},
+      {"--synth-algo", "naive, batched",
+       [](const std::string &V) {
+         static const std::pair<const char *, sim::SynthAlgorithm> C[] = {
+             {"naive", sim::SynthAlgorithm::Naive},
+             {"batched", sim::SynthAlgorithm::Batched}};
+         return applyChoice(V, C, sim::setDefaultSynthAlgorithm);
+       }},
+      {"--infer-algo", "fp, quantized",
+       [](const std::string &V) {
+         static const std::pair<const char *, ml::InferenceAlgorithm> C[] = {
+             {"fp", ml::InferenceAlgorithm::Fp},
+             {"quantized", ml::InferenceAlgorithm::Quantized}};
+         return applyChoice(V, C, ml::setDefaultInferenceAlgorithm);
+       }},
+      {"--fit-algo", "rls, refit",
+       [](const std::string &V) {
+         static const std::pair<const char *, ml::FitAlgorithm> C[] = {
+             {"rls", ml::FitAlgorithm::Rls},
+             {"refit", ml::FitAlgorithm::Refit}};
+         return applyChoice(V, C, ml::setDefaultFitAlgorithm);
+       }},
+      {"--simd", "auto, avx2, scalar",
+       [](const std::string &V) {
+         static const std::pair<const char *, stats::SimdMode> C[] = {
+             {"auto", stats::SimdMode::Auto},
+             {"avx2", stats::SimdMode::Avx2},
+             {"scalar", stats::SimdMode::Scalar}};
+         return applyChoice(V, C, stats::setDefaultSimdMode);
+       }},
+      {"--bench-json", "a file path",
+       [](const std::string &V) {
+         benchJsonPath() = V;
+         return !V.empty();
+       }},
+      {"--sweep-repeat", "a count of at least 1",
+       [](const std::string &V) {
+         long long N = parseCount(V);
+         if (N < 1)
+           return false;
+         sweepRepeatFlag() = static_cast<unsigned>(N);
+         return true;
+       }},
+      {"--profile-repeat", "a count of at least 1",
+       [](const std::string &V) {
+         long long N = parseCount(V);
+         if (N < 1)
+           return false;
+         profileRepeatFlag() = static_cast<unsigned>(N);
+         return true;
+       }},
+  };
+  return Flags;
+}
+
+/// Parses the shared bench flags (see sharedFlags) and \returns the
+/// remaining positional arguments. A value a flag does not accept, or a
+/// flag without its value, exits with status 2 and an error naming the
+/// accepted values, before the program prints anything. google-benchmark
+/// style `--benchmark_*` flags are accepted and ignored so CI can pass
+/// one command line to every bench binary.
 inline std::vector<std::string> parseArgs(int Argc, char **Argv) {
   if (const char *Env = std::getenv("SLOPE_BENCH_JSON"))
     benchJsonPath() = Env;
-  auto SetThreads = [](const char *Value) {
-    long N = std::strtol(Value, nullptr, 10);
-    requestedThreads() = N > 0 ? static_cast<unsigned>(N) : 0;
-    slope::ThreadPool::setGlobalThreadCount(requestedThreads());
-  };
-  auto SetTreeAlgo = [](const std::string &Value) {
-    slope::ml::setDefaultTreeAlgorithm(Value == "naive"
-                                           ? slope::ml::TreeAlgorithm::Naive
-                                           : slope::ml::TreeAlgorithm::Presorted);
-  };
-  auto SetNnAlgo = [](const std::string &Value) {
-    slope::ml::setDefaultNnAlgorithm(Value == "naive"
-                                         ? slope::ml::NnAlgorithm::Naive
-                                         : slope::ml::NnAlgorithm::Batched);
-  };
-  auto SetSynthAlgo = [](const std::string &Value) {
-    slope::sim::setDefaultSynthAlgorithm(
-        Value == "naive" ? slope::sim::SynthAlgorithm::Naive
-                         : slope::sim::SynthAlgorithm::Batched);
-  };
-  auto SetInferAlgo = [](const std::string &Value) {
-    slope::ml::setDefaultInferenceAlgorithm(
-        Value == "quantized" ? slope::ml::InferenceAlgorithm::Quantized
-                             : slope::ml::InferenceAlgorithm::Fp);
-  };
-  auto SetFitAlgo = [](const std::string &Value) {
-    slope::ml::setDefaultFitAlgorithm(Value == "refit"
-                                          ? slope::ml::FitAlgorithm::Refit
-                                          : slope::ml::FitAlgorithm::Rls);
-  };
-  auto SetSimd = [](const std::string &Value) {
-    slope::stats::setDefaultSimdMode(
-        Value == "scalar" ? slope::stats::SimdMode::Scalar
-        : Value == "avx2" ? slope::stats::SimdMode::Avx2
-                          : slope::stats::SimdMode::Auto);
-  };
   std::vector<std::string> Positional;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
-    if (Arg == "--threads" && I + 1 < Argc) {
-      SetThreads(Argv[++I]);
-    } else if (Arg.rfind("--threads=", 0) == 0) {
-      SetThreads(Arg.c_str() + std::strlen("--threads="));
-    } else if (Arg == "--tree-algo" && I + 1 < Argc) {
-      SetTreeAlgo(Argv[++I]);
-    } else if (Arg.rfind("--tree-algo=", 0) == 0) {
-      SetTreeAlgo(Arg.substr(std::strlen("--tree-algo=")));
-    } else if (Arg == "--nn-algo" && I + 1 < Argc) {
-      SetNnAlgo(Argv[++I]);
-    } else if (Arg.rfind("--nn-algo=", 0) == 0) {
-      SetNnAlgo(Arg.substr(std::strlen("--nn-algo=")));
-    } else if (Arg == "--synth-algo" && I + 1 < Argc) {
-      SetSynthAlgo(Argv[++I]);
-    } else if (Arg.rfind("--synth-algo=", 0) == 0) {
-      SetSynthAlgo(Arg.substr(std::strlen("--synth-algo=")));
-    } else if (Arg == "--infer-algo" && I + 1 < Argc) {
-      SetInferAlgo(Argv[++I]);
-    } else if (Arg.rfind("--infer-algo=", 0) == 0) {
-      SetInferAlgo(Arg.substr(std::strlen("--infer-algo=")));
-    } else if (Arg == "--fit-algo" && I + 1 < Argc) {
-      SetFitAlgo(Argv[++I]);
-    } else if (Arg.rfind("--fit-algo=", 0) == 0) {
-      SetFitAlgo(Arg.substr(std::strlen("--fit-algo=")));
-    } else if (Arg == "--simd" && I + 1 < Argc) {
-      SetSimd(Argv[++I]);
-    } else if (Arg.rfind("--simd=", 0) == 0) {
-      SetSimd(Arg.substr(std::strlen("--simd=")));
-    } else if (Arg == "--bench-json" && I + 1 < Argc) {
-      benchJsonPath() = Argv[++I];
-    } else if (Arg.rfind("--bench-json=", 0) == 0) {
-      benchJsonPath() = Arg.substr(std::strlen("--bench-json="));
-    } else if (Arg == "--profile-repeat" && I + 1 < Argc) {
-      long N = std::strtol(Argv[++I], nullptr, 10);
-      profileRepeatFlag() = N > 0 ? static_cast<unsigned>(N) : 1;
-    } else if (Arg.rfind("--profile-repeat=", 0) == 0) {
-      long N = std::strtol(Arg.c_str() + std::strlen("--profile-repeat="),
-                           nullptr, 10);
-      profileRepeatFlag() = N > 0 ? static_cast<unsigned>(N) : 1;
-    } else if (Arg == "--sweep-repeat" && I + 1 < Argc) {
-      long N = std::strtol(Argv[++I], nullptr, 10);
-      sweepRepeatFlag() = N > 0 ? static_cast<unsigned>(N) : 1;
-    } else if (Arg.rfind("--sweep-repeat=", 0) == 0) {
-      long N = std::strtol(Arg.c_str() + std::strlen("--sweep-repeat="),
-                           nullptr, 10);
-      sweepRepeatFlag() = N > 0 ? static_cast<unsigned>(N) : 1;
-    } else if (Arg.rfind("--benchmark_", 0) == 0) {
-      // Ignored: lets the CI smoke step pass google-benchmark flags to
-      // table binaries that render directly.
-    } else {
+    const SharedFlag *Matched = nullptr;
+    std::string Value;
+    for (const SharedFlag &Flag : sharedFlags()) {
+      const size_t Len = std::strlen(Flag.Name);
+      if (Arg == Flag.Name) {
+        if (I + 1 == Argc) {
+          std::fprintf(stderr, "error: %s needs a value (accepted: %s)\n",
+                       Flag.Name, Flag.Accepted);
+          std::exit(2);
+        }
+        Matched = &Flag;
+        Value = Argv[++I];
+      } else if (Arg.compare(0, Len, Flag.Name) == 0 && Arg.size() > Len &&
+                 Arg[Len] == '=') {
+        Matched = &Flag;
+        Value = Arg.substr(Len + 1);
+      }
+      if (Matched)
+        break;
+    }
+    if (Matched) {
+      if (!Matched->Apply(Value)) {
+        std::fprintf(stderr, "error: unknown %s '%s' (accepted: %s)\n",
+                     Matched->Name, Value.c_str(), Matched->Accepted);
+        std::exit(2);
+      }
+    } else if (Arg.rfind("--benchmark_", 0) != 0) {
+      // --benchmark_* is ignored: lets the CI smoke step pass
+      // google-benchmark flags to table binaries that render directly.
       Positional.push_back(std::move(Arg));
     }
   }

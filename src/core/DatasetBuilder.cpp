@@ -38,7 +38,8 @@ DatasetBuilder::build(const std::vector<CompoundApplication> &Apps,
   //   2. the executions themselves are pure given a seed, so all
   //      applications' runs fan out over the pool into disjoint slots;
   //   3. meter readings are stateful (the sampling RNG advances per
-  //      reading) and stay serial in the same scan order;
+  //      reading); the meter's batch entry point reproduces the serial
+  //      scan's stream and fans the readings out;
   //   4. the per-application reductions are pure reads of (2) and (3)
   //      and fan out again, one disjoint slice each.
   const size_t RunsPerApp = Plan->numRuns() * Options.Repetitions;

@@ -27,8 +27,8 @@ PmcProfiler::collect(const CompoundApplication &App,
   // Perform every execution of the campaign up front: seeds fork from the
   // machine's run counter in the exact order a serial per-run loop would
   // consume them, then the runs execute in parallel. The meter is stateful
-  // (its sampling RNG advances per reading), so readings stay serial in
-  // the same scan order.
+  // (its sampling RNG advances per reading); its batch entry point gives
+  // the readings of a serial scan in the same order.
   std::vector<Execution> Execs =
       M.runBatch(App, Plan->numRuns() * Repetitions);
   std::vector<power::EnergyReading> Readings;

@@ -14,9 +14,14 @@
 ///  * Presorted (default): each feature's sample indices are sorted once
 ///    per tree by (value, target) — or derived in linear time from a
 ///    forest-wide DatasetPresort — and nodes are grown from an explicit
-///    work stack by stable in-place partitioning of the presorted index
-///    arrays, so the per-node cost is linear and the growth loop performs
-///    zero heap allocations after the per-tree scratch setup.
+///    work stack by stable partitioning of the presorted index arrays
+///    into a second set (the two alternate by depth), so the per-node
+///    cost is linear and the growth loop performs zero heap allocations
+///    after the per-tree setup. Per node, one pass runs the
+///    candidates' target prefix sums and the node's mean sum as
+///    interleaved add chains, a division-free pass bounds every split
+///    score, and only positions whose bound can reach the best score are
+///    scored exactly (DecisionTree.cpp proves the bound).
 ///  * Naive (the seed implementation, kept as the reference and the
 ///    "seed kernel" baseline for perf gates): re-sorts (value, target)
 ///    pairs at every node.
@@ -114,11 +119,6 @@ public:
   double predict(const std::vector<double> &Features) const override;
   std::vector<double> predictBatch(const Dataset &Data) const override;
   std::string name() const override { return "Tree"; }
-
-  /// Predicts from a raw feature pointer (no bounds information; the
-  /// caller guarantees the row matches the fitted width). Lets ensembles
-  /// batch over a reused row buffer without per-call vector churn.
-  double predictRow(const double *Features) const;
 
   /// \returns the number of nodes in the fitted tree.
   size_t numNodes() const { return Nodes.size(); }

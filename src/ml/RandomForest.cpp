@@ -48,22 +48,30 @@ Expected<bool> RandomForest::fit(const Dataset &Training) {
     Master = std::make_unique<DatasetPresort>(Training);
 
   Rng ForestRng(Options.Seed);
-  size_t N = Training.numRows();
+  const size_t N = Training.numRows(), NumFeat = Training.numFeatures();
+  // Out-of-bag rows are walked through each tree's flat form, which wants
+  // rows contiguous: transpose the training columns once per forest.
+  std::vector<double> Rows(N * NumFeat);
+  for (size_t F = 0; F < NumFeat; ++F) {
+    const double *Col = Training.column(F);
+    for (size_t R = 0; R < N; ++R)
+      Rows[R * NumFeat + F] = Col[R];
+  }
   // Each task stores its tree's flat form and releases the DecisionTree
   // that grew it; a failed fit leaves its tree without nodes.
   FlatForest<double> Grown;
   Grown.Trees.resize(Options.NumTrees);
-  std::vector<std::vector<bool>> InBags(Options.NumTrees);
+  std::vector<std::vector<uint32_t>> OobRows(Options.NumTrees);
   std::vector<std::vector<double>> OobPreds(Options.NumTrees);
   std::vector<std::string> FitErrors(Options.NumTrees);
 
   parallelFor(0, Options.NumTrees, 1, [&](size_t T) {
     Rng TreeRng = ForestRng.fork(T);
     std::vector<size_t> Bootstrap(N);
-    std::vector<bool> InBag(N, false);
+    std::vector<uint8_t> InBag(N, 0);
     for (size_t I = 0; I < N; ++I) {
       Bootstrap[I] = TreeRng.below(N);
-      InBag[Bootstrap[I]] = true;
+      InBag[Bootstrap[I]] = 1;
     }
 
     DecisionTreeOptions TreeOptions = Options.Tree;
@@ -80,15 +88,21 @@ Expected<bool> RandomForest::fit(const Dataset &Training) {
       return;
     }
 
-    std::vector<double> Preds(N, 0.0);
-    std::vector<double> RowBuf;
+    // The out-of-bag rows, ascending, each walked through the tree's flat
+    // form: the leaf predict() reaches, without its per-level branch.
+    std::vector<uint32_t> Oob;
     for (size_t R = 0; R < N; ++R)
-      if (!InBag[R]) {
-        Training.gatherRow(R, RowBuf);
-        Preds[R] = Tree.predictRow(RowBuf.data());
-      }
-    Grown.Trees[T] = Tree.flatten();
-    InBags[T] = std::move(InBag);
+      if (!InBag[R])
+        Oob.push_back(static_cast<uint32_t>(R));
+    std::vector<double> Preds(Oob.size());
+    FlatForest<double> One;
+    One.Trees.push_back(Tree.flatten());
+    sumForestLeaves(
+        One, Oob.size(),
+        [&](size_t I) { return Rows.data() + Oob[I] * NumFeat; },
+        Preds.data());
+    Grown.Trees[T] = std::move(One.Trees.front());
+    OobRows[T] = std::move(Oob);
     OobPreds[T] = std::move(Preds);
   });
 
@@ -96,17 +110,16 @@ Expected<bool> RandomForest::fit(const Dataset &Training) {
     if (Grown.Trees[T].Nodes.empty())
       return makeError(FitErrors[T]);
   Flat = std::move(Grown);
-  Width = Training.numFeatures();
+  Width = NumFeat;
 
-  // Out-of-bag bookkeeping: sum/count of OOB predictions per row.
+  // Out-of-bag bookkeeping: sum/count of OOB predictions per row, in tree
+  // order.
   std::vector<double> OobSum(N, 0.0);
   std::vector<unsigned> OobCount(N, 0);
   for (size_t T = 0; T < Options.NumTrees; ++T)
-    for (size_t R = 0; R < N; ++R) {
-      if (InBags[T][R])
-        continue;
-      OobSum[R] += OobPreds[T][R];
-      ++OobCount[R];
+    for (size_t I = 0; I < OobRows[T].size(); ++I) {
+      OobSum[OobRows[T][I]] += OobPreds[T][I];
+      ++OobCount[OobRows[T][I]];
     }
 
   double SumSq = 0;

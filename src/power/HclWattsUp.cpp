@@ -19,21 +19,27 @@ HclWattsUp::HclWattsUp(Machine &M, std::unique_ptr<PowerMeter> Meter,
   StaticPowerW = this->Meter->measureIdlePowerW(M, CalibrationSeconds);
 }
 
-EnergyReading HclWattsUp::readingFor(const Execution &Exec) {
+EnergyReading HclWattsUp::reading(const Execution &Exec,
+                                  double TotalEnergyJ) const {
   EnergyReading Reading;
   Reading.TimeSec = Exec.totalTimeSec();
-  Reading.TotalEnergyJ = Meter->measureTotalEnergyJ(M, Exec);
+  Reading.TotalEnergyJ = TotalEnergyJ;
   Reading.DynamicEnergyJ =
       Reading.TotalEnergyJ - StaticPowerW * Reading.TimeSec;
   return Reading;
 }
 
+EnergyReading HclWattsUp::readingFor(const Execution &Exec) {
+  return reading(Exec, Meter->measureTotalEnergyJ(M, Exec));
+}
+
 std::vector<EnergyReading>
 HclWattsUp::readingsFor(const std::vector<Execution> &Execs) {
+  std::vector<double> TotalJ = Meter->measureTotalEnergiesJ(M, Execs);
   std::vector<EnergyReading> Readings;
   Readings.reserve(Execs.size());
-  for (const Execution &Exec : Execs)
-    Readings.push_back(readingFor(Exec));
+  for (size_t I = 0; I < Execs.size(); ++I)
+    Readings.push_back(reading(Execs[I], TotalJ[I]));
   return Readings;
 }
 

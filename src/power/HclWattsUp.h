@@ -48,10 +48,9 @@ public:
   /// PMCs and energy must come from the same run).
   EnergyReading readingFor(const sim::Execution &Exec);
 
-  /// Readings for a batch of already-performed executions, in order. The
-  /// meter is stateful (its sampling RNG advances per reading), so batch
-  /// campaigns funnel all their readings through this one serial scan to
-  /// stay bit-identical to reading each execution as it finishes.
+  /// Readings for a batch of already-performed executions, in order,
+  /// through the meter's batch entry point: bit-identical to reading each
+  /// execution as it finishes, including the meter's state afterwards.
   std::vector<EnergyReading> readingsFor(const std::vector<sim::Execution> &Execs);
 
   /// Measures the dynamic energy of \p App with the repeated-runs
@@ -62,6 +61,9 @@ public:
   sim::Machine &machine() { return M; }
 
 private:
+  /// The reading of \p Exec given its measured total energy.
+  EnergyReading reading(const sim::Execution &Exec, double TotalEnergyJ) const;
+
   sim::Machine &M;
   std::unique_ptr<PowerMeter> Meter;
   double StaticPowerW = 0;

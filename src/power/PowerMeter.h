@@ -20,6 +20,7 @@
 #include "sim/Machine.h"
 
 #include <string>
+#include <vector>
 
 namespace slope {
 namespace power {
@@ -34,6 +35,14 @@ public:
   /// (fresh sampling alignment and sensor noise).
   virtual double measureTotalEnergyJ(const sim::Machine &M,
                                      const sim::Execution &Exec) = 0;
+
+  /// Measures the total energy of each of \p Execs in order: the same
+  /// values, and the same meter state afterwards, as calling
+  /// measureTotalEnergyJ on each in turn. The default does exactly that;
+  /// a meter may override it to spread the work over the thread pool.
+  virtual std::vector<double>
+  measureTotalEnergiesJ(const sim::Machine &M,
+                        const std::vector<sim::Execution> &Execs);
 
   /// Measures the idle machine's power (watts) by observing it for
   /// \p Seconds with no load. Used for static-power calibration.
@@ -63,12 +72,23 @@ public:
 
   double measureTotalEnergyJ(const sim::Machine &M,
                              const sim::Execution &Exec) override;
+  /// Reads the executions in parallel, bit-identical to the serial loop.
+  /// A serial pass snapshots the sampling stream at each reading's start
+  /// and skips it past that reading's draws (one for the phase offset,
+  /// two per sample); the readings then run from their snapshots.
+  std::vector<double>
+  measureTotalEnergiesJ(const sim::Machine &M,
+                        const std::vector<sim::Execution> &Execs) override;
   double measureIdlePowerW(const sim::Machine &M, double Seconds) override;
   std::string name() const override { return "WattsUp Pro"; }
 
 private:
   /// One noisy, quantized sample of an instantaneous power \p TrueW.
-  double sample(double TrueW);
+  double sample(Rng &R, double TrueW) const;
+
+  /// One reading of \p Exec, drawing from \p R.
+  double measure(Rng &R, const sim::Machine &M,
+                 const sim::Execution &Exec) const;
 
   WattsUpOptions Options;
   Rng MeterRng;

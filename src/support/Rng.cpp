@@ -54,13 +54,16 @@ double Rng::uniform(double Lo, double Hi) {
 
 uint64_t Rng::below(uint64_t N) {
   assert(N > 0 && "below(0) is meaningless");
-  // Rejection sampling to avoid modulo bias.
+  // Rejection sampling to avoid modulo bias: draws below (2^64 - N) % N
+  // are rejected. That threshold is below N, so a draw >= N is accepted
+  // without computing it (one 64-bit division fewer on almost every call).
+  uint64_t Draw = next();
+  if (Draw >= N)
+    return Draw % N;
   uint64_t Threshold = (0ULL - N) % N;
-  for (;;) {
-    uint64_t Draw = next();
-    if (Draw >= Threshold)
-      return Draw % N;
-  }
+  while (Draw < Threshold)
+    Draw = next();
+  return Draw % N;
 }
 
 double Rng::gaussian() {

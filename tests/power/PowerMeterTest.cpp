@@ -5,10 +5,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "power/PowerMeter.h"
+#include "power/RaplSensor.h"
+#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 using namespace slope;
 using namespace slope::power;
@@ -88,4 +91,63 @@ TEST(WattsUpProMeter, CompoundProfileIntegratesBothPhases) {
   double Truth = E.TrueDynamicEnergyJ +
                  M.platform().IdlePowerWatts * E.totalTimeSec();
   EXPECT_NEAR(Meter.measureTotalEnergyJ(M, E) / Truth, 1.0, 0.04);
+}
+
+namespace {
+/// Restores automatic pool sizing however the test exits.
+struct ThreadCountGuard {
+  ~ThreadCountGuard() { ThreadPool::setGlobalThreadCount(0); }
+};
+
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+/// Sub-sample-period, mid-length and long executions, interleaved.
+std::vector<Execution> mixedRuns(Machine &M) {
+  const size_t Sizes[] = {1024, 16000, 4000, 32000};
+  std::vector<Execution> Execs;
+  for (size_t I = 0; I < 40; ++I)
+    Execs.push_back(M.run(Application(KernelKind::MklDgemm, Sizes[I % 4])));
+  return Execs;
+}
+} // namespace
+
+TEST(WattsUpProMeter, BatchMatchesSerialReadingsAtAnyThreadCount) {
+  ThreadCountGuard Guard;
+  Machine M(Platform::intelHaswellServer(), 7);
+  std::vector<Execution> Execs = mixedRuns(M);
+  ASSERT_LT(Execs[0].totalTimeSec(), 1.0);
+  ASSERT_GT(Execs[3].totalTimeSec(), 20.0);
+
+  WattsUpProMeter Serial(WattsUpOptions(), 0x5EED);
+  std::vector<double> Want;
+  for (const Execution &E : Execs)
+    Want.push_back(Serial.measureTotalEnergyJ(M, E));
+  const double WantAfter = Serial.measureTotalEnergyJ(M, Execs[1]);
+
+  for (unsigned Threads : {1u, 2u, 8u}) {
+    ThreadPool::setGlobalThreadCount(Threads);
+    WattsUpProMeter Batch(WattsUpOptions(), 0x5EED);
+    std::vector<double> Got = Batch.measureTotalEnergiesJ(M, Execs);
+    ASSERT_EQ(Got.size(), Want.size());
+    for (size_t I = 0; I < Want.size(); ++I)
+      EXPECT_TRUE(sameBits(Got[I], Want[I]))
+          << "reading " << I << " at " << Threads << " threads: " << Got[I]
+          << " vs " << Want[I];
+    // The stream ends where the serial scan's does.
+    EXPECT_TRUE(sameBits(Batch.measureTotalEnergyJ(M, Execs[1]), WantAfter))
+        << Threads << " threads";
+  }
+}
+
+TEST(PowerMeter, DefaultBatchIsTheSerialLoop) {
+  Machine M(Platform::intelHaswellServer(), 8);
+  std::vector<Execution> Execs = mixedRuns(M);
+  RaplSensor Serial, Batch;
+  std::vector<double> Got = Batch.measureTotalEnergiesJ(M, Execs);
+  ASSERT_EQ(Got.size(), Execs.size());
+  for (size_t I = 0; I < Execs.size(); ++I)
+    EXPECT_TRUE(sameBits(Got[I], Serial.measureTotalEnergyJ(M, Execs[I])))
+        << "reading " << I;
 }

@@ -174,3 +174,33 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RngSeedSweep,
                          ::testing::Values(0ull, 1ull, 2ull, 42ull,
                                            0xDEADBEEFull, 0xFFFFFFFFFFFFFFFFull,
                                            2019ull, 0x5C7Bull));
+
+TEST(Rng, BelowMatchesTheRejectionLoopItReplaced) {
+  // The rejection loop below() had before its draw >= N fast path:
+  // threshold first, then draws until one reaches it.
+  auto Reference = [](Rng &R, uint64_t N) {
+    uint64_t Threshold = (0ULL - N) % N;
+    for (;;) {
+      uint64_t Draw = R.next();
+      if (Draw >= Threshold)
+        return Draw % N;
+    }
+  };
+  const uint64_t Ns[] = {1,
+                         2,
+                         3,
+                         7,
+                         (uint64_t{1} << 32) + 1,
+                         uint64_t{1} << 63,
+                         (uint64_t{1} << 63) + 1,
+                         UINT64_MAX};
+  for (uint64_t Seed = 0; Seed < 200; ++Seed)
+    for (uint64_t N : Ns) {
+      Rng Fast(Seed), Slow(Seed);
+      for (int I = 0; I < 64; ++I)
+        ASSERT_EQ(Fast.below(N), Reference(Slow, N))
+            << "seed " << Seed << " N " << N << " draw " << I;
+      // Same stream position: both consumed the same rejected draws.
+      ASSERT_EQ(Fast.next(), Slow.next()) << "seed " << Seed << " N " << N;
+    }
+}
