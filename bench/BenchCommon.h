@@ -106,10 +106,12 @@ bool applyChoice(const std::string &Value,
 /// and `--synth-algo` select between the bit-identical naive reference
 /// and fast kernels of tree growth, neural-network training and counter
 /// synthesis (perf gates compare the two sides). `--infer-algo
-/// fp|quantized` (or SLOPE_INFER_ALGO) selects the inference kernel the
-/// model factories serve — unlike the bit-neutral switches it changes
-/// numerics within ml/QuantizedModel's documented error bound, so the CI
-/// gate checks speedup and tolerance together. `--fit-algo rls|refit`
+/// fp|quantized` (or SLOPE_INFER_ALGO) selects the inference kernel
+/// core/ModelZoo and core/OnlineEstimator serve; quantized exists for LR
+/// and identity-transfer NNs only (other families are a build error).
+/// Unlike the bit-neutral switches it changes numerics within
+/// ml/QuantizedModel's documented error bound, so the CI gate checks
+/// speedup and tolerance together. `--fit-algo rls|refit`
 /// (or SLOPE_FIT_ALGO) selects the online-model maintenance path
 /// (O(F^2) Sherman-Morrison updates vs the O(N*F^2) full-refit
 /// reference); like --infer-algo it is tolerance-gated, not

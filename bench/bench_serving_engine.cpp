@@ -117,6 +117,16 @@ int main(int Argc, char **Argv) {
                  Retrain.c_str());
     return 2;
   }
+  // --infer-algo quantized (or SLOPE_INFER_ALGO=quantized) has an integer
+  // kernel for the linear families only (ml/QuantizedModel.h).
+  if (ml::defaultInferenceAlgorithm() == ml::InferenceAlgorithm::Quantized &&
+      *FamilyKind != ModelFamily::LR && *FamilyKind != ModelFamily::NN) {
+    std::fprintf(stderr,
+                 "error: quantized inference serves linear models only: "
+                 "unknown --family '%s' (accepted: lr, nn)\n",
+                 Family.c_str());
+    return 2;
+  }
   // An explicit --retrain (including "off") opts into label scoring, so
   // `--retrain off` reports the frozen model's staleness_error as the
   // baseline the retrained runs are compared against. Without the flag

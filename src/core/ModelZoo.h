@@ -44,8 +44,8 @@ std::unique_ptr<ml::Model> makePaperModel(ModelFamily Family, uint64_t Seed);
 /// (experiment datasets are well formed by construction). With \p Algo ==
 /// Quantized (the default follows --infer-algo / SLOPE_INFER_ALGO), the
 /// fitted model is wrapped in its fixed-point twin, calibrated on
-/// \p Training — never silently: an unquantizable configuration asserts
-/// in debug and aborts in release via ml::QuantizedModel::build's error.
+/// \p Training — never silently: a family without an integer kernel (RF,
+/// kNN) aborts with ml::QuantizedModel::build's error.
 std::unique_ptr<ml::Model>
 fitPaperModel(ModelFamily Family, uint64_t Seed, const ml::Dataset &Training,
               ml::InferenceAlgorithm Algo = ml::defaultInferenceAlgorithm());

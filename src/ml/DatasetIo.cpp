@@ -9,6 +9,7 @@
 #include "support/Csv.h"
 #include "support/CsvReader.h"
 
+#include <cmath>
 #include <cstdlib>
 
 using namespace slope;
@@ -37,46 +38,48 @@ Expected<bool> ml::writeDatasetCsv(const Dataset &Data,
   return makeWriter(Data).writeFile(Path);
 }
 
+namespace {
+/// The one document-to-dataset conversion behind both entry points. Every
+/// cell must parse whole as a finite number: NaN, +/-Inf and values that
+/// overflow to +/-Inf (1e999) are rejected, finite underflow loads.
+Expected<Dataset> datasetFromDocument(const CsvDocument &Doc) {
+  if (Doc.numColumns() < 2)
+    return makeError("a dataset needs at least one feature column plus "
+                     "the target column");
+
+  std::vector<std::string> FeatureNames(Doc.Header.begin(),
+                                        Doc.Header.end() - 1);
+  Dataset Data(FeatureNames);
+  std::vector<double> Values(Doc.numColumns());
+  for (size_t R = 0; R < Doc.numRows(); ++R) {
+    for (size_t C = 0; C < Doc.numColumns(); ++C) {
+      const std::string &Cell = Doc.Rows[R][C];
+      char *End = nullptr;
+      Values[C] = std::strtod(Cell.c_str(), &End);
+      const bool Numeric = End != Cell.c_str() && *End == '\0';
+      if (!Numeric || !std::isfinite(Values[C]))
+        return makeError(std::string(Numeric ? "non-finite" : "non-numeric") +
+                         " cell '" + Cell + "' in row " +
+                         std::to_string(R + 2) + ", column '" +
+                         Doc.Header[C] + "'");
+    }
+    const double Target = Values.back();
+    Data.addRow(Values.data(), Target);
+  }
+  return Data;
+}
+} // namespace
+
 Expected<Dataset> ml::datasetFromCsv(const std::string &Text) {
   auto Doc = parseCsv(Text);
   if (!Doc)
     return Doc.error();
-  if (Doc->numColumns() < 2)
-    return makeError("a dataset needs at least one feature column plus "
-                     "the target column");
-
-  std::vector<std::string> FeatureNames(Doc->Header.begin(),
-                                        Doc->Header.end() - 1);
-  Dataset Data(FeatureNames);
-  for (size_t R = 0; R < Doc->numRows(); ++R) {
-    std::vector<double> Values;
-    Values.reserve(Doc->numColumns());
-    for (const std::string &Cell : Doc->Rows[R]) {
-      char *End = nullptr;
-      double V = std::strtod(Cell.c_str(), &End);
-      if (End == Cell.c_str() || *End != '\0')
-        return makeError("non-numeric cell '" + Cell + "' in row " +
-                         std::to_string(R + 2));
-      Values.push_back(V);
-    }
-    double Target = Values.back();
-    Values.pop_back();
-    Data.addRow(Values, Target);
-  }
-  return Data;
+  return datasetFromDocument(*Doc);
 }
 
 Expected<Dataset> ml::readDatasetCsv(const std::string &Path) {
   auto Doc = readCsvFile(Path);
   if (!Doc)
     return Doc.error();
-  // Re-serialize through the text parser path for one validation flow.
-  std::string Text;
-  {
-    CsvWriter Writer(Doc->Header);
-    for (const auto &Row : Doc->Rows)
-      Writer.addRow(Row);
-    Text = Writer.str();
-  }
-  return datasetFromCsv(Text);
+  return datasetFromDocument(*Doc);
 }

@@ -34,10 +34,12 @@ Expected<bool> writeDatasetCsv(const Dataset &Data, const std::string &Path);
 
 /// Parses a dataset from CSV text produced by datasetToCsv (the last
 /// column is the target regardless of its name). \returns an error on
-/// malformed CSV, fewer than two columns, or non-numeric cells.
+/// malformed CSV, fewer than two columns, or a non-numeric or non-finite
+/// cell (NaN, +/-Inf, or a value such as 1e999 that overflows to Inf),
+/// naming the cell's row (the file line) and column.
 Expected<Dataset> datasetFromCsv(const std::string &Text);
 
-/// Reads a dataset from \p Path.
+/// Reads a dataset from \p Path, with datasetFromCsv's checks.
 Expected<Dataset> readDatasetCsv(const std::string &Path);
 
 } // namespace ml

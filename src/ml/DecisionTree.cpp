@@ -656,9 +656,9 @@ double DecisionTree::predict(const std::vector<double> &Features) const {
   return Nodes[Id].LeafValue;
 }
 
-FlatTree<double> DecisionTree::flatten() const {
+FlatTree DecisionTree::flatten() const {
   assert(Fitted && "flattening an unfitted tree");
-  FlatTree<double> Out;
+  FlatTree Out;
   Out.Depth = MaxFittedDepth;
   Out.Nodes.reserve(Nodes.size());
   for (uint32_t I = 0; I < Nodes.size(); ++I) {

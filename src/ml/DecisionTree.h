@@ -125,9 +125,8 @@ public:
 
   /// \returns the fitted tree in the flat inference form of
   /// ml/FlatForest.h. The one producer of that form: RandomForest stores
-  /// its trees through it, and QuantizedModel::build flattens a lone tree
-  /// through it.
-  FlatTree<double> flatten() const;
+  /// its trees through it.
+  FlatTree flatten() const;
 
   /// \returns the maximum depth actually reached (root = 0), tracked
   /// during growth.

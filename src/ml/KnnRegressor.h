@@ -49,27 +49,6 @@ public:
     return std::min(Options.K, Targets.size());
   }
 
-  const KnnOptions &options() const { return Options; }
-
-  /// Fitted state read by QuantizedModel::build, which re-quantizes the
-  /// standardized space. All valid after fit.
-  const std::vector<double> &standardizedRows() const {
-    assert(Fitted && "model not fitted");
-    return Rows;
-  }
-  const std::vector<double> &trainingTargets() const {
-    assert(Fitted && "model not fitted");
-    return Targets;
-  }
-  const std::vector<double> &featureMeans() const {
-    assert(Fitted && "model not fitted");
-    return FeatureMean;
-  }
-  const std::vector<double> &featureStds() const {
-    assert(Fitted && "model not fitted");
-    return FeatureStd;
-  }
-
 private:
   /// Neighbourhood vote over one standardized query row; \p Distances is
   /// caller-owned scratch so batch prediction reuses one buffer.

@@ -6,10 +6,8 @@
 
 #include "ml/QuantizedModel.h"
 
-#include "ml/KnnRegressor.h"
 #include "ml/LinearRegression.h"
 #include "ml/NeuralNetwork.h"
-#include "ml/RandomForest.h"
 
 #include <algorithm>
 #include <cmath>
@@ -22,12 +20,10 @@ using namespace slope::ml;
 namespace {
 
 /// Fixed-point budget (see the header's scheme): calibration maxima land
-/// near 2^24 feature quanta, saturation at 2^28 leaves 16x headroom, the
-/// largest linear weight lands near 2^28, and leaf quanta stay <= 2^44 so
-/// even thousand-tree forests accumulate in int64.
-constexpr double FeatureTargetQuanta = 16777216.0;        // 2^24
-constexpr double WeightCapQuanta = 268435456.0;           // 2^28
-constexpr double LeafCapQuanta = 17592186044416.0;        // 2^44
+/// near 2^24 feature quanta, saturation at 2^28 leaves 16x headroom, and
+/// the largest weight lands near 2^28.
+constexpr double FeatureTargetQuanta = 16777216.0; // 2^24
+constexpr double WeightCapQuanta = 268435456.0;    // 2^28
 constexpr size_t MaxQuantizedWidth = QuantizedModel::MaxWidth;
 
 InferenceAlgorithm initialInferenceAlgorithm() {
@@ -101,7 +97,6 @@ QuantizedModel::build(std::unique_ptr<Model> Reference,
 
   auto Q = std::unique_ptr<QuantizedModel>(new QuantizedModel());
   Q->QuantScale.resize(Width);
-  Q->QuantOffset.assign(Width, 0.0);
   for (size_t F = 0; F < Width; ++F)
     Q->QuantScale[F] =
         featureScaleFor(Calibration.column(F), Calibration.numRows());
@@ -112,13 +107,11 @@ QuantizedModel::build(std::unique_ptr<Model> Reference,
   // effective weights).
   std::vector<double> Coefficients;
   double Intercept = 0;
-  bool IsLinear = false;
   if (const auto *Lr = dynamic_cast<const LinearRegression *>(Reference.get())) {
     if (Lr->coefficients().size() != Width)
       return makeError("calibration width does not match the fitted model");
     Coefficients = Lr->coefficients();
     Intercept = Lr->intercept();
-    IsLinear = true;
   } else if (const auto *Nn =
                  dynamic_cast<const NeuralNetwork *>(Reference.get())) {
     if (Nn->transfer() != Activation::Identity)
@@ -140,119 +133,29 @@ QuantizedModel::build(std::unique_ptr<Model> Reference,
       Coefficients[F] = (Nn->predict(Probe) - Intercept) / Step;
       Probe[F] = 0.0;
     }
-    IsLinear = true;
+  } else {
+    return makeError("model family '" + Reference->name() +
+                     "' has no quantized inference kernel");
   }
-  if (IsLinear) {
-    Q->ModelKind = Kind::Linear;
-    double MaxPerQuantum = 0;
-    for (size_t F = 0; F < Width; ++F)
-      MaxPerQuantum = std::max(MaxPerQuantum,
-                               std::fabs(Coefficients[F]) / Q->QuantScale[F]);
-    // Output quanta per joule: the adaptive EM_TO_INT base. Push the
-    // largest weight to ~2^28 so weight rounding is a 2^-29 relative
-    // perturbation; an all-zero model gets the default pico-joule-like
-    // 2^40 base.
-    Q->OutputBase = MaxPerQuantum > 0
-                        ? floorPow2(WeightCapQuanta / MaxPerQuantum)
-                        : std::exp2(40);
-    Q->DequantScale = 1.0 / Q->OutputBase;
-    Q->WeightQ.resize(Width);
-    for (size_t F = 0; F < Width; ++F)
-      Q->WeightQ[F] =
-          std::llround(Coefficients[F] * Q->OutputBase / Q->QuantScale[F]);
-    Q->BiasQ = std::llround(Intercept * Q->OutputBase);
-    Q->Ref = std::move(Reference);
-    return Q;
-  }
-
-  // Trees and forests: quantize the FP forest's flat arrays. A lone tree
-  // goes through the producer the forest's trees went through.
-  FlatForest<double> LoneTree;
-  const FlatForest<double> *Flat = nullptr;
-  if (const auto *Tree = dynamic_cast<const DecisionTree *>(Reference.get())) {
-    LoneTree.Trees.push_back(Tree->flatten());
-    Flat = &LoneTree;
-  } else if (const auto *Forest =
-                 dynamic_cast<const RandomForest *>(Reference.get())) {
-    Flat = &Forest->flat();
-  }
-  if (Flat) {
-    Q->ModelKind = Kind::Forest;
-    double MaxAbsLeaf = 0;
-    for (const FlatTree<double> &In : Flat->Trees)
-      for (const FlatNode<double> &N : In.Nodes) {
-        if (N.isLeaf())
-          MaxAbsLeaf = std::max(MaxAbsLeaf, std::fabs(N.Value));
-        else if (N.Feature >= Width)
-          return makeError("calibration width does not match the fitted "
-                           "model");
-      }
-    Q->OutputBase = MaxAbsLeaf > 0 ? floorPow2(LeafCapQuanta / MaxAbsLeaf)
-                                   : std::exp2(40);
-    Q->DequantScale =
-        1.0 / (Q->OutputBase * static_cast<double>(Flat->numTrees()));
-    // Same shape, same children; thresholds become feature quanta, and
-    // each leaf's output quanta go to LeafValues, which the leaf indexes.
-    Q->Forest.Trees.resize(Flat->numTrees());
-    for (size_t T = 0; T < Flat->numTrees(); ++T) {
-      const FlatTree<double> &In = Flat->Trees[T];
-      FlatTree<int32_t> &Out = Q->Forest.Trees[T];
-      Out.Depth = In.Depth;
-      Out.Nodes.reserve(In.Nodes.size());
-      for (const FlatNode<double> &N : In.Nodes) {
-        FlatNode<int32_t> QN{0, N.Feature, {N.Child[0], N.Child[1]}};
-        if (N.isLeaf()) {
-          QN.Value = static_cast<int32_t>(Q->Forest.LeafValues.size());
-          Q->Forest.LeafValues.push_back(
-              std::llround(N.Value * Q->OutputBase));
-        } else {
-          const double ScaledT = N.Value * Q->QuantScale[N.Feature];
-          QN.Value = static_cast<int32_t>(std::llround(
-              std::max(-1073741824.0, std::min(1073741824.0, ScaledT))));
-        }
-        Out.Nodes.push_back(QN);
-      }
-    }
-    Q->Ref = std::move(Reference);
-    return Q;
-  }
-
-  if (const auto *Knn = dynamic_cast<const KnnRegressor *>(Reference.get())) {
-    if (Knn->featureMeans().size() != Width)
-      return makeError("calibration width does not match the fitted model");
-    Q->ModelKind = Kind::Knn;
-    const std::vector<double> &Rows = Knn->standardizedRows();
-    const size_t N = Knn->trainingTargets().size();
-    double MaxAbsStd = 0;
-    for (double V : Rows)
-      MaxAbsStd = std::max(MaxAbsStd, std::fabs(V));
-    // One shared scale for the whole standardized space — distances mix
-    // features, so per-feature scales would distort the metric.
-    Q->KnnDistScale =
-        MaxAbsStd > 0 ? floorPow2(FeatureTargetQuanta / MaxAbsStd) : 1.0;
-    for (size_t F = 0; F < Width; ++F) {
-      const double Std = Knn->featureStds()[F];
-      Q->QuantScale[F] = Q->KnnDistScale / Std;
-      Q->QuantOffset[F] = -Knn->featureMeans()[F] * Q->KnnDistScale / Std;
-    }
-    Q->KnnRows.resize(N * Width);
-    for (size_t I = 0; I < N * Width; ++I)
-      Q->KnnRows[I] = quantizeValue(Rows[I], Q->KnnDistScale, 0.0);
-    Q->KnnTargets = Knn->trainingTargets();
-    Q->KnnK = Knn->effectiveK();
-    Q->KnnDistanceWeighted = Knn->options().DistanceWeighted;
-    double MaxAbsTarget = 0;
-    for (double T : Q->KnnTargets)
-      MaxAbsTarget = std::max(MaxAbsTarget, std::fabs(T));
-    Q->OutputBase = MaxAbsTarget > 0 ? floorPow2(LeafCapQuanta / MaxAbsTarget)
-                                     : std::exp2(40);
-    Q->DequantScale = 1.0 / Q->OutputBase;
-    Q->Ref = std::move(Reference);
-    return Q;
-  }
-
-  return makeError("model family '" + Reference->name() +
-                   "' has no quantized inference kernel");
+  double MaxPerQuantum = 0;
+  for (size_t F = 0; F < Width; ++F)
+    MaxPerQuantum = std::max(MaxPerQuantum,
+                             std::fabs(Coefficients[F]) / Q->QuantScale[F]);
+  // Output quanta per joule: the adaptive EM_TO_INT base. Push the
+  // largest weight to ~2^28 so weight rounding is a 2^-29 relative
+  // perturbation; an all-zero model gets the default pico-joule-like
+  // 2^40 base.
+  Q->OutputBase = MaxPerQuantum > 0
+                      ? floorPow2(WeightCapQuanta / MaxPerQuantum)
+                      : std::exp2(40);
+  Q->DequantScale = 1.0 / Q->OutputBase;
+  Q->WeightQ.resize(Width);
+  for (size_t F = 0; F < Width; ++F)
+    Q->WeightQ[F] =
+        std::llround(Coefficients[F] * Q->OutputBase / Q->QuantScale[F]);
+  Q->BiasQ = std::llround(Intercept * Q->OutputBase);
+  Q->Ref = std::move(Reference);
+  return Q;
 }
 
 Expected<bool> QuantizedModel::fit(const Dataset &) {
@@ -260,112 +163,39 @@ Expected<bool> QuantizedModel::fit(const Dataset &) {
                    "QuantizedModel::build, never fitted directly");
 }
 
-int64_t QuantizedModel::predictLinear(const int32_t *QRow) const {
-  int64_t Acc = BiasQ;
-  const size_t Width = WeightQ.size();
-  for (size_t F = 0; F < Width; ++F)
-    Acc += WeightQ[F] * static_cast<int64_t>(QRow[F]);
-  return Acc;
-}
-
-int64_t QuantizedModel::predictKnn(const int32_t *QRow) const {
-  const size_t Width = QuantScale.size();
-  const size_t N = KnnTargets.size();
-  // Exact integer squared distances (deltas <= 2^29, so 64 features stay
-  // under 2^63); the O(N) scan is the hot part and is integer-only.
-  std::vector<std::pair<int64_t, size_t>> Distances;
-  Distances.reserve(N);
-  for (size_t R = 0; R < N; ++R) {
-    const int32_t *Row = &KnnRows[R * Width];
-    int64_t Sq = 0;
-    for (size_t C = 0; C < Width; ++C) {
-      const int64_t Dx = static_cast<int64_t>(Row[C]) - QRow[C];
-      Sq += Dx * Dx;
-    }
-    Distances.emplace_back(Sq, R);
-  }
-  const size_t K = std::min(KnnK, N);
-  std::nth_element(Distances.begin(), Distances.begin() + (K - 1),
-                   Distances.end());
-
-  // The k-element vote mirrors the FP reference on dequantized distances.
-  double WeightSum = 0, ValueSum = 0;
-  for (size_t I = 0; I < K; ++I) {
-    const auto &[Sq, R] = Distances[I];
-    if (KnnDistanceWeighted) {
-      if (Sq == 0)
-        return std::llround(KnnTargets[R] * OutputBase);
-      const double Dist = std::sqrt(static_cast<double>(Sq)) / KnnDistScale;
-      const double W = 1.0 / Dist;
-      WeightSum += W;
-      ValueSum += W * KnnTargets[R];
-    } else {
-      WeightSum += 1;
-      ValueSum += KnnTargets[R];
-    }
-  }
-  return std::llround(ValueSum / WeightSum * OutputBase);
-}
-
 int64_t QuantizedModel::predictQuantized(const int32_t *QRow) const {
-  switch (ModelKind) {
-  case Kind::Linear:
-    return predictLinear(QRow);
-  case Kind::Forest: {
-    int64_t Acc;
-    sumForestLeaves(Forest, 1, [QRow](size_t) { return QRow; }, &Acc);
-    return Acc;
-  }
-  case Kind::Knn:
-    return predictKnn(QRow);
-  }
-  assert(false && "unknown quantized kernel");
-  return 0;
+  int64_t Acc;
+  predictQuantizedMany(QRow, /*Indices=*/nullptr, 1, &Acc);
+  return Acc;
 }
 
 void QuantizedModel::predictQuantizedMany(const int32_t *Rows,
                                           const size_t *Indices, size_t N,
                                           int64_t *Out) const {
+  // Open-coded: the dot product is ~Width multiply-adds, so a per-row
+  // function call would be a measurable fraction of the work. The
+  // contiguous (null-Indices) variant is a plain strided walk the
+  // compiler can keep entirely in registers.
   const size_t Width = QuantScale.size();
-  switch (ModelKind) {
-  case Kind::Linear: {
-    // Open-coded: the dot product is ~Width multiply-adds, so a per-row
-    // function call and kind dispatch would be a measurable fraction of
-    // the work. The contiguous (null-Indices) variant is a plain strided
-    // walk the compiler can keep entirely in registers.
-    const int64_t *W = WeightQ.data();
-    const int64_t Bias = BiasQ;
-    if (Indices) {
-      for (size_t I = 0; I < N; ++I) {
-        const int32_t *QRow = Rows + Indices[I] * Width;
-        int64_t Acc = Bias;
-        for (size_t F = 0; F < Width; ++F)
-          Acc += W[F] * static_cast<int64_t>(QRow[F]);
-        Out[I] = Acc;
-      }
-    } else {
-      const int32_t *QRow = Rows;
-      for (size_t I = 0; I < N; ++I, QRow += Width) {
-        int64_t Acc = Bias;
-        for (size_t F = 0; F < Width; ++F)
-          Acc += W[F] * static_cast<int64_t>(QRow[F]);
-        Out[I] = Acc;
-      }
+  const int64_t *W = WeightQ.data();
+  const int64_t Bias = BiasQ;
+  if (Indices) {
+    for (size_t I = 0; I < N; ++I) {
+      const int32_t *QRow = Rows + Indices[I] * Width;
+      int64_t Acc = Bias;
+      for (size_t F = 0; F < Width; ++F)
+        Acc += W[F] * static_cast<int64_t>(QRow[F]);
+      Out[I] = Acc;
     }
-    return;
+  } else {
+    const int32_t *QRow = Rows;
+    for (size_t I = 0; I < N; ++I, QRow += Width) {
+      int64_t Acc = Bias;
+      for (size_t F = 0; F < Width; ++F)
+        Acc += W[F] * static_cast<int64_t>(QRow[F]);
+      Out[I] = Acc;
+    }
   }
-  case Kind::Forest:
-    sumForestLeaves(
-        Forest, N,
-        [=](size_t I) { return Rows + (Indices ? Indices[I] : I) * Width; },
-        Out);
-    return;
-  case Kind::Knn:
-    for (size_t I = 0; I < N; ++I)
-      Out[I] = predictKnn(Rows + (Indices ? Indices[I] : I) * Width);
-    return;
-  }
-  assert(false && "unknown quantized kernel");
 }
 
 double QuantizedModel::predict(const std::vector<double> &Features) const {
@@ -387,9 +217,9 @@ std::vector<double> QuantizedModel::predictBatch(const Dataset &Data) const {
   std::vector<int32_t> QBuf(N * Width);
   for (size_t F = 0; F < Width; ++F) {
     const double *Col = Data.column(F);
-    const double Scale = QuantScale[F], Offset = QuantOffset[F];
+    const double Scale = QuantScale[F];
     for (size_t R = 0; R < N; ++R)
-      QBuf[R * Width + F] = quantizeValue(Col[R], Scale, Offset);
+      QBuf[R * Width + F] = quantizeValue(Col[R], Scale);
   }
   std::vector<int64_t> OutQ(N);
   predictQuantizedMany(QBuf.data(), /*Indices=*/nullptr, N, OutQ.data());

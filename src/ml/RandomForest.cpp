@@ -59,7 +59,7 @@ Expected<bool> RandomForest::fit(const Dataset &Training) {
   }
   // Each task stores its tree's flat form and releases the DecisionTree
   // that grew it; a failed fit leaves its tree without nodes.
-  FlatForest<double> Grown;
+  FlatForest Grown;
   Grown.Trees.resize(Options.NumTrees);
   std::vector<std::vector<uint32_t>> OobRows(Options.NumTrees);
   std::vector<std::vector<double>> OobPreds(Options.NumTrees);
@@ -95,7 +95,7 @@ Expected<bool> RandomForest::fit(const Dataset &Training) {
       if (!InBag[R])
         Oob.push_back(static_cast<uint32_t>(R));
     std::vector<double> Preds(Oob.size());
-    FlatForest<double> One;
+    FlatForest One;
     One.Trees.push_back(Tree.flatten());
     sumForestLeaves(
         One, Oob.size(),

@@ -47,9 +47,8 @@ public:
 
   size_t numTrees() const { return Flat.numTrees(); }
 
-  /// The fitted trees in flat form, in ensemble order. QuantizedModel::build
-  /// quantizes these arrays.
-  const FlatForest<double> &flat() const {
+  /// The fitted trees in flat form, in ensemble order.
+  const FlatForest &flat() const {
     assert(Fitted && "model not fitted");
     return Flat;
   }
@@ -63,7 +62,7 @@ public:
 
 private:
   RandomForestOptions Options;
-  FlatForest<double> Flat;
+  FlatForest Flat;
   size_t Width = 0; ///< Feature count of the training data.
   double OobMse = 0;
   bool Fitted = false;

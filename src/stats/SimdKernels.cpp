@@ -83,17 +83,16 @@ bool stats::simdKSplitKernelsActive() {
   return detail::KSplitKernelsAvx2Flag;
 }
 
-void stats::quantizeScaleClamp(const double *X, const double *Scale,
-                               const double *Offset, size_t N, int64_t Clamp,
-                               int32_t *Out) {
+void stats::quantizeScaleClamp(const double *X, const double *Scale, size_t N,
+                               int64_t Clamp, int32_t *Out) {
 #ifdef SLOPE_SIMD_AVX2_COMPILED
   if (detail::ColumnKernelsAvx2Flag)
-    return detail::quantizeScaleClampAvx2(X, Scale, Offset, N, Clamp, Out);
+    return detail::quantizeScaleClampAvx2(X, Scale, N, Clamp, Out);
 #endif
   const double ClampD = static_cast<double>(Clamp);
   size_t I = 0;
 #if defined(__x86_64__) || defined(_M_X64)
-  // Two elements per step: scale, shift, clamp in the double domain, then
+  // Two elements per step: scale, clamp in the double domain, then
   // cvtpd2dq (round-to-nearest-even under the default MXCSR mode).
   // Clamping before the conversion is equivalent to round-then-clamp for
   // finite inputs: the clamp bound is a power of two (exactly
@@ -104,15 +103,13 @@ void stats::quantizeScaleClamp(const double *X, const double *Scale,
   const __m128d Lo = _mm_set1_pd(-ClampD);
   const __m128d Hi = _mm_set1_pd(ClampD);
   for (; I + 2 <= N; I += 2) {
-    __m128d V = _mm_loadu_pd(X + I);
-    V = _mm_add_pd(_mm_mul_pd(V, _mm_loadu_pd(Scale + I)),
-                   _mm_loadu_pd(Offset + I));
+    __m128d V = _mm_mul_pd(_mm_loadu_pd(X + I), _mm_loadu_pd(Scale + I));
     V = _mm_min_pd(_mm_max_pd(V, Lo), Hi);
     _mm_storel_epi64(reinterpret_cast<__m128i *>(Out + I),
                      _mm_cvtpd_epi32(V));
   }
   for (; I < N; ++I) {
-    __m128d V = _mm_set_sd(X[I] * Scale[I] + Offset[I]);
+    __m128d V = _mm_set_sd(X[I] * Scale[I]);
     V = _mm_min_sd(_mm_max_sd(V, Lo), Hi);
     Out[I] = _mm_cvtsd_si32(V);
   }
@@ -120,7 +117,7 @@ void stats::quantizeScaleClamp(const double *X, const double *Scale,
   // Same clamp and operand order as the vector kernels: a NaN fails both
   // comparisons and takes the lower bound.
   for (; I < N; ++I) {
-    double V = X[I] * Scale[I] + Offset[I];
+    double V = X[I] * Scale[I];
     V = V > -ClampD ? V : -ClampD;
     V = V < ClampD ? V : ClampD;
     Out[I] = static_cast<int32_t>(std::llround(V));

@@ -84,7 +84,7 @@ bool simdKSplitKernelsActive();
 // stats/Matrix.h; their implementations dispatch through this TU.)
 //===----------------------------------------------------------------------===//
 
-/// Out[i] = round(X[i] * Scale[i] + Offset[i]) clamped to +/-Clamp, with
+/// Out[i] = round(X[i] * Scale[i]) clamped to +/-Clamp, with
 /// round-to-nearest-even (cvtpd2dq semantics; the scalar fallback uses
 /// the identical single-value conversion). The clamp runs in the double
 /// domain before rounding, max then min: +/-Inf and values beyond the
@@ -94,9 +94,8 @@ bool simdKSplitKernelsActive();
 /// mode. Column-parallel: the AVX2 variant is eight-wide but
 /// element-wise, so results are bit-identical to the scalar reference.
 /// ml::QuantizedModel::quantizeRow routes here.
-void quantizeScaleClamp(const double *X, const double *Scale,
-                        const double *Offset, size_t N, int64_t Clamp,
-                        int32_t *Out);
+void quantizeScaleClamp(const double *X, const double *Scale, size_t N,
+                        int64_t Clamp, int32_t *Out);
 
 /// \returns sum_i Weight[i] * Values[Index[i]] — the gathered weighted
 /// sum the counter-synthesis term table walks (sim::Machine). K-split:
@@ -150,9 +149,8 @@ void gemmBTransposedAccumulateAvx2(const double *A, const double *B,
                                    double *C, size_t M, size_t K, size_t N);
 double dotAvx2(const double *A, const double *B, size_t N);
 void axpyAvx2(double Alpha, const double *X, double *Y, size_t N);
-void quantizeScaleClampAvx2(const double *X, const double *Scale,
-                            const double *Offset, size_t N, int64_t Clamp,
-                            int32_t *Out);
+void quantizeScaleClampAvx2(const double *X, const double *Scale, size_t N,
+                            int64_t Clamp, int32_t *Out);
 double weightedIndexedSumAvx2(const double *Weight, const uint32_t *Index,
                               size_t N, const double *Values);
 double sumAvx2(const double *X, size_t N);

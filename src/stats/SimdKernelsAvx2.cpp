@@ -266,8 +266,7 @@ void detail::axpyAvx2(double Alpha, const double *X, double *Y, size_t N) {
 }
 
 void detail::quantizeScaleClampAvx2(const double *X, const double *Scale,
-                                    const double *Offset, size_t N,
-                                    int64_t Clamp, int32_t *Out) {
+                                    size_t N, int64_t Clamp, int32_t *Out) {
   // Eight features per step (two 256-bit halves), element-wise with the
   // same operation order, clamp operand order, and cvtpd2dq rounding as
   // the two-wide SSE2 fallback — bit-identical output.
@@ -276,12 +275,10 @@ void detail::quantizeScaleClampAvx2(const double *X, const double *Scale,
   const __m256d Hi = _mm256_set1_pd(ClampD);
   size_t I = 0;
   for (; I + 8 <= N; I += 8) {
-    __m256d V0 = _mm256_loadu_pd(X + I);
-    __m256d V1 = _mm256_loadu_pd(X + I + 4);
-    V0 = _mm256_add_pd(_mm256_mul_pd(V0, _mm256_loadu_pd(Scale + I)),
-                       _mm256_loadu_pd(Offset + I));
-    V1 = _mm256_add_pd(_mm256_mul_pd(V1, _mm256_loadu_pd(Scale + I + 4)),
-                       _mm256_loadu_pd(Offset + I + 4));
+    __m256d V0 =
+        _mm256_mul_pd(_mm256_loadu_pd(X + I), _mm256_loadu_pd(Scale + I));
+    __m256d V1 = _mm256_mul_pd(_mm256_loadu_pd(X + I + 4),
+                               _mm256_loadu_pd(Scale + I + 4));
     V0 = _mm256_min_pd(_mm256_max_pd(V0, Lo), Hi);
     V1 = _mm256_min_pd(_mm256_max_pd(V1, Lo), Hi);
     _mm_storeu_si128(reinterpret_cast<__m128i *>(Out + I),
@@ -290,9 +287,8 @@ void detail::quantizeScaleClampAvx2(const double *X, const double *Scale,
                      _mm256_cvtpd_epi32(V1));
   }
   for (; I + 4 <= N; I += 4) {
-    __m256d V = _mm256_loadu_pd(X + I);
-    V = _mm256_add_pd(_mm256_mul_pd(V, _mm256_loadu_pd(Scale + I)),
-                      _mm256_loadu_pd(Offset + I));
+    __m256d V =
+        _mm256_mul_pd(_mm256_loadu_pd(X + I), _mm256_loadu_pd(Scale + I));
     V = _mm256_min_pd(_mm256_max_pd(V, Lo), Hi);
     _mm_storeu_si128(reinterpret_cast<__m128i *>(Out + I),
                      _mm256_cvtpd_epi32(V));
@@ -300,7 +296,7 @@ void detail::quantizeScaleClampAvx2(const double *X, const double *Scale,
   // The tail clamps in the double domain too, with the same operand
   // order, so a value quantizes alike at every column position.
   for (; I < N; ++I) {
-    __m128d V = _mm_set_sd(X[I] * Scale[I] + Offset[I]);
+    __m128d V = _mm_set_sd(X[I] * Scale[I]);
     V = _mm_min_sd(_mm_max_sd(V, _mm256_castpd256_pd128(Lo)),
                    _mm256_castpd256_pd128(Hi));
     Out[I] = _mm_cvtsd_si32(V);

@@ -114,6 +114,25 @@ TEST(OnlineEstimator, SupportsAllThreeFamilies) {
   }
 }
 
+TEST(OnlineEstimator, QuantizedTrainRefusesForestAndKnn) {
+  // Under --infer-algo quantized, a family without an integer kernel is
+  // a build error the caller sees, never a silently served FP model.
+  struct Restore {
+    ml::InferenceAlgorithm Saved = ml::defaultInferenceAlgorithm();
+    ~Restore() { ml::setDefaultInferenceAlgorithm(Saved); }
+  } Guard;
+  ml::setDefaultInferenceAlgorithm(ml::InferenceAlgorithm::Quantized);
+  for (ModelFamily Family : {ModelFamily::RF, ModelFamily::Knn}) {
+    Rig R(30 + static_cast<uint64_t>(Family));
+    auto Estimator = OnlineEstimator::train(R.M, R.Meter, pa4(),
+                                            dgemmSweep(), Family, 1);
+    ASSERT_FALSE(bool(Estimator)) << modelFamilyName(Family);
+    EXPECT_EQ(Estimator.error().message(),
+              "model family '" + std::string(modelFamilyName(Family)) +
+                  "' has no quantized inference kernel");
+  }
+}
+
 TEST(OnlineEstimator, EstimateRunIsDeterministicForEqualSeeds) {
   // Two identically seeded rigs replay the same training campaign and
   // the same fresh run, so the estimate must match bit for bit.

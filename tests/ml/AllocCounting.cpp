@@ -34,20 +34,40 @@ size_t slope::test::armedAllocationCount() {
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 #endif
 
-void *operator new(std::size_t Size) {
+// Every form that shares the plain deletes is replaced, the nothrow ones
+// included: std::stable_sort takes its temporary buffer from nothrow new,
+// and a runtime's own nothrow new (a sanitizer's, say) would hand out
+// memory the replaced deletes then free() — a mismatched pair.
+static void *countedMalloc(std::size_t Size) noexcept {
   if (AllocCountingArmed.load(std::memory_order_relaxed))
     ArmedAllocationCount.fetch_add(1, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size ? Size : 1))
+  return std::malloc(Size ? Size : 1);
+}
+
+void *operator new(std::size_t Size) {
+  if (void *P = countedMalloc(Size))
     return P;
   throw std::bad_alloc();
 }
 
 void *operator new[](std::size_t Size) { return ::operator new(Size); }
 
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
+  return countedMalloc(Size);
+}
+
+void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
+  return countedMalloc(Size);
+}
+
 void operator delete(void *P) noexcept { std::free(P); }
 void operator delete(void *P, std::size_t) noexcept { std::free(P); }
 void operator delete[](void *P) noexcept { std::free(P); }
 void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept { std::free(P); }
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop

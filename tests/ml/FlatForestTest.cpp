@@ -36,8 +36,8 @@ namespace {
 /// The oracle: a row-by-row, branchy walk of every stored tree.
 double oraclePredict(const RandomForest &Forest, const double *Row) {
   double Sum = 0;
-  for (const FlatTree<double> &Flat : Forest.flat().Trees) {
-    const FlatNode<double> *Tree = Flat.Nodes.data();
+  for (const FlatTree &Flat : Forest.flat().Trees) {
+    const FlatNode *Tree = Flat.Nodes.data();
     uint32_t I = 0;
     while (Tree[I].Child[0] != I || Tree[I].Child[1] != I)
       I = Row[Tree[I].Feature] <= Tree[I].Value ? Tree[I].Child[0]
@@ -60,8 +60,8 @@ Dataset hostileRows(const RandomForest &Forest, size_t Width, size_t N,
   const double NaN = std::numeric_limits<double>::quiet_NaN();
   const double Specials[] = {0.0, -0.0, NaN, Inf, -Inf, 1e300, -1e300};
   std::vector<double> Thresholds;
-  for (const FlatTree<double> &Tree : Forest.flat().Trees)
-    for (const FlatNode<double> &Node : Tree.Nodes)
+  for (const FlatTree &Tree : Forest.flat().Trees)
+    for (const FlatNode &Node : Tree.Nodes)
       if (!Node.isLeaf())
         Thresholds.push_back(Node.Value);
 
@@ -161,7 +161,7 @@ TEST(FlatForest, MixedDepthsWithLeavesAndStumpsMatchOracle) {
   RandomForest Forest(Options);
   ASSERT_TRUE(bool(Forest.fit(D)));
   std::vector<uint32_t> Depths;
-  for (const FlatTree<double> &Tree : Forest.flat().Trees)
+  for (const FlatTree &Tree : Forest.flat().Trees)
     Depths.push_back(Tree.Depth);
   EXPECT_NE(std::count(Depths.begin(), Depths.end(), 0u), 0);
   EXPECT_NE(std::count(Depths.begin(), Depths.end(), 1u), 0);
@@ -180,7 +180,7 @@ TEST(FlatForest, ConstantTargetSingleLeafForestMatchesOracle) {
   RandomForest Forest(Options);
   ASSERT_TRUE(bool(Forest.fit(D)));
   ASSERT_EQ(Forest.numTrees(), 9u);
-  for (const FlatTree<double> &Tree : Forest.flat().Trees) {
+  for (const FlatTree &Tree : Forest.flat().Trees) {
     EXPECT_EQ(Tree.Depth, 0u);
     EXPECT_EQ(Tree.Nodes.size(), 1u);
   }
@@ -193,7 +193,7 @@ TEST(FlatForest, StumpForestMatchesOracle) {
   Options.Tree.MaxDepth = 1;
   RandomForest Forest(Options);
   ASSERT_TRUE(bool(Forest.fit(smoothData(120, 3, 2))));
-  for (const FlatTree<double> &Tree : Forest.flat().Trees)
+  for (const FlatTree &Tree : Forest.flat().Trees)
     EXPECT_EQ(Tree.Depth, 1u);
   expectMatchesOracle(Forest, 3, 400);
 }
@@ -204,11 +204,11 @@ TEST(FlatForest, TreesArePreOrderWithSelfLoopingLeaves) {
   RandomForest Forest(Options);
   ASSERT_TRUE(bool(Forest.fit(smoothData(150, 3, 3))));
   ASSERT_EQ(Forest.flat().numTrees(), 11u);
-  for (const FlatTree<double> &Tree : Forest.flat().Trees) {
+  for (const FlatTree &Tree : Forest.flat().Trees) {
     const uint32_t Size = static_cast<uint32_t>(Tree.Nodes.size());
     ASSERT_GT(Size, 0u);
     for (uint32_t I = 0; I < Size; ++I) {
-      const FlatNode<double> &Node = Tree.Nodes[I];
+      const FlatNode &Node = Tree.Nodes[I];
       if (Node.isLeaf()) {
         EXPECT_EQ(Node.Child[0], I);
         EXPECT_EQ(Node.Feature, 0u);

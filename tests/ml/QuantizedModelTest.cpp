@@ -7,9 +7,10 @@
 // Property suite for ml::QuantizedModel: unlike the repo's bit-identical
 // kernel pairs, quantized inference ships with an error *bound* — this
 // suite proves |quantized - fp| relative error stays below the documented
-// 1e-4 for every supported family, on synthetic data and on real
-// machine-profiled paper datasets, and that the integer path itself is
-// internally bit-identical (predict == predictBatch) and deterministic.
+// 1e-4 for both supported families (LR and the identity NN), on synthetic
+// data and on real machine-profiled paper datasets, that the integer path
+// itself is internally bit-identical (predict == predictBatch) and
+// deterministic, and that every other family is refused.
 //
 //===----------------------------------------------------------------------===//
 
@@ -72,6 +73,14 @@ void expectQuantizedWithinBound(std::unique_ptr<Model> Fp,
       << (*Q)->name();
 }
 
+/// An unfitted identity-transfer NN, the quantizable network family.
+std::unique_ptr<Model> identityNn() {
+  NeuralNetworkOptions Options;
+  Options.Transfer = Activation::Identity;
+  Options.Epochs = 60;
+  return std::make_unique<NeuralNetwork>(Options);
+}
+
 TEST(QuantizedModel, LinearWithinBound) {
   Dataset Train = syntheticData(1, 120, 5);
   Dataset Test = syntheticData(2, 60, 5);
@@ -88,48 +97,13 @@ TEST(QuantizedModel, PaperLinearWithinBound) {
                              Train, Test);
 }
 
-TEST(QuantizedModel, DecisionTreeWithinBound) {
-  Dataset Train = syntheticData(5, 150, 4);
-  Dataset Test = syntheticData(6, 60, 4);
-  expectQuantizedWithinBound(std::make_unique<DecisionTree>(), Train, Test);
-}
-
-TEST(QuantizedModel, RandomForestWithinBound) {
-  Dataset Train = syntheticData(7, 150, 4);
-  Dataset Test = syntheticData(8, 60, 4);
-  RandomForestOptions Options;
-  Options.NumTrees = 30;
-  expectQuantizedWithinBound(std::make_unique<RandomForest>(Options), Train,
-                             Test);
-}
-
 TEST(QuantizedModel, IdentityNnWithinBound) {
   // An identity-transfer network is affine end to end; build() folds it
   // to effective linear weights by probing, so the twin must track it as
   // tightly as a plain LR.
   Dataset Train = syntheticData(9, 120, 5);
   Dataset Test = syntheticData(10, 60, 5);
-  NeuralNetworkOptions Options;
-  Options.Transfer = Activation::Identity;
-  Options.Epochs = 60;
-  expectQuantizedWithinBound(std::make_unique<NeuralNetwork>(Options), Train,
-                             Test);
-}
-
-TEST(QuantizedModel, KnnWithinBound) {
-  Dataset Train = syntheticData(11, 100, 4);
-  Dataset Test = syntheticData(12, 50, 4);
-  expectQuantizedWithinBound(std::make_unique<KnnRegressor>(), Train, Test);
-}
-
-TEST(QuantizedModel, KnnUnweightedWithinBound) {
-  Dataset Train = syntheticData(13, 80, 3);
-  Dataset Test = syntheticData(14, 40, 3);
-  KnnOptions Options;
-  Options.K = 3;
-  Options.DistanceWeighted = false;
-  expectQuantizedWithinBound(std::make_unique<KnnRegressor>(Options), Train,
-                             Test);
+  expectQuantizedWithinBound(identityNn(), Train, Test);
 }
 
 TEST(QuantizedModel, WideFeatureScaleSpreadWithinBound) {
@@ -163,8 +137,9 @@ TEST(QuantizedModel, ExtrapolationInsideHeadroomWithinBound) {
 }
 
 TEST(QuantizedModel, AllPaperFamiliesOnMachineDataWithinBound) {
-  // The real thing: paper-configured models trained on a machine-profiled
-  // (PMC..., energy) dataset, exactly what the serving engine deploys.
+  // The real thing: paper-configured models of both quantizable families
+  // trained on a machine-profiled (PMC..., energy) dataset, exactly what
+  // the serving engine deploys.
   sim::Machine M(sim::Platform::intelSkylakeServer(), 42);
   power::HclWattsUp Meter(M, std::make_unique<power::WattsUpProMeter>());
   core::DatasetBuilder Builder(M, Meter);
@@ -176,8 +151,7 @@ TEST(QuantizedModel, AllPaperFamiliesOnMachineDataWithinBound) {
   ASSERT_TRUE(bool(Train));
 
   for (core::ModelFamily Family :
-       {core::ModelFamily::LR, core::ModelFamily::RF, core::ModelFamily::NN,
-        core::ModelFamily::Knn}) {
+       {core::ModelFamily::LR, core::ModelFamily::NN}) {
     std::unique_ptr<Model> Fp = core::fitPaperModel(
         Family, /*Seed=*/1, *Train, InferenceAlgorithm::Fp);
     const std::vector<double> Reference = Fp->predictBatch(*Train);
@@ -195,13 +169,9 @@ TEST(QuantizedModel, PredictMatchesPredictBatchBitIdentical) {
   // paths must agree bit for bit (the house predictBatch contract).
   Dataset Train = syntheticData(18, 120, 4);
   Dataset Test = syntheticData(19, 40, 4);
-  RandomForestOptions ForestOptions;
-  ForestOptions.NumTrees = 20;
   std::vector<std::unique_ptr<Model>> Models;
   Models.push_back(std::make_unique<LinearRegression>());
-  Models.push_back(std::make_unique<DecisionTree>());
-  Models.push_back(std::make_unique<RandomForest>(ForestOptions));
-  Models.push_back(std::make_unique<KnnRegressor>());
+  Models.push_back(identityNn());
   for (auto &Fp : Models) {
     ASSERT_TRUE(bool(Fp->fit(Train)));
     auto Q = QuantizedModel::build(std::move(Fp), Train);
@@ -239,16 +209,13 @@ Dataset hostileData(uint64_t Seed, size_t Rows, size_t Width) {
 }
 
 TEST(QuantizedModel, PredictQuantizedManyMatchesPerRowAtEveryTail) {
-  // The shared forest walk keeps four rows in flight; batch lengths
-  // 1..17 and 256 leave every tail of that block. Batched results,
-  // contiguous and indexed, must equal per-row predictQuantized exactly,
-  // for a forest and for a lone tree.
+  // predictQuantizedMany open-codes the dot product in a contiguous and
+  // an indexed loop; at batch lengths 1..17 and 256 both must equal
+  // per-row predictQuantized exactly, for LR and the identity NN.
   Dataset Train = syntheticData(30, 200, 4);
-  RandomForestOptions ForestOptions;
-  ForestOptions.NumTrees = 25;
   std::vector<std::unique_ptr<Model>> Models;
-  Models.push_back(std::make_unique<RandomForest>(ForestOptions));
-  Models.push_back(std::make_unique<DecisionTree>());
+  Models.push_back(std::make_unique<LinearRegression>());
+  Models.push_back(identityNn());
   std::vector<size_t> Sizes;
   for (size_t N = 1; N <= 17; ++N)
     Sizes.push_back(N);
@@ -336,6 +303,32 @@ TEST(QuantizedModel, RefusesNonIdentityNn) {
   auto Q = QuantizedModel::build(std::move(Fp), Train);
   ASSERT_FALSE(bool(Q));
   EXPECT_NE(Q.error().message().find("identity"), std::string::npos);
+}
+
+/// Fits \p Fp on a small dataset and expects build() to refuse it as a
+/// family without an integer kernel.
+void expectNoQuantizedKernel(std::unique_ptr<Model> Fp) {
+  Dataset Train = syntheticData(28, 120, 4);
+  ASSERT_TRUE(bool(Fp->fit(Train)));
+  const std::string Name = Fp->name();
+  auto Q = QuantizedModel::build(std::move(Fp), Train);
+  ASSERT_FALSE(bool(Q)) << Name;
+  EXPECT_EQ(Q.error().message(),
+            "model family '" + Name + "' has no quantized inference kernel");
+}
+
+TEST(QuantizedModel, RefusesDecisionTree) {
+  expectNoQuantizedKernel(std::make_unique<DecisionTree>());
+}
+
+TEST(QuantizedModel, RefusesRandomForest) {
+  RandomForestOptions Options;
+  Options.NumTrees = 10;
+  expectNoQuantizedKernel(std::make_unique<RandomForest>(Options));
+}
+
+TEST(QuantizedModel, RefusesKnn) {
+  expectNoQuantizedKernel(std::make_unique<KnnRegressor>());
 }
 
 TEST(QuantizedModel, RefusesDirectFit) {

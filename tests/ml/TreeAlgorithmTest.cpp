@@ -254,14 +254,14 @@ bool sameValue(double A, double B) {
 void expectIdenticalForests(const RandomForest &A, const RandomForest &B,
                             const Dataset &D, const std::string &What) {
   SCOPED_TRACE(What);
-  const FlatForest<double> &FA = A.flat(), &FB = B.flat();
+  const FlatForest &FA = A.flat(), &FB = B.flat();
   ASSERT_EQ(FA.numTrees(), FB.numTrees());
   for (size_t T = 0; T < FA.numTrees(); ++T) {
-    const FlatTree<double> &TA = FA.Trees[T], &TB = FB.Trees[T];
+    const FlatTree &TA = FA.Trees[T], &TB = FB.Trees[T];
     ASSERT_EQ(TA.Depth, TB.Depth) << "tree " << T;
     ASSERT_EQ(TA.Nodes.size(), TB.Nodes.size()) << "tree " << T;
     for (size_t I = 0; I < TA.Nodes.size(); ++I) {
-      const FlatNode<double> &NA = TA.Nodes[I], &NB = TB.Nodes[I];
+      const FlatNode &NA = TA.Nodes[I], &NB = TB.Nodes[I];
       ASSERT_TRUE(sameValue(NA.Value, NB.Value) &&
                   NA.Feature == NB.Feature && NA.Child[0] == NB.Child[0] &&
                   NA.Child[1] == NB.Child[1])
@@ -383,11 +383,11 @@ TEST(TreeAlgorithm, ForestOobErrorMatchesAnIndependentRecount) {
       std::vector<bool> InBag(N, false);
       for (size_t I = 0; I < N; ++I)
         InBag[TreeRng.below(N)] = true;
-      const std::vector<FlatNode<double>> &Nodes = Forest.flat().Trees[T].Nodes;
+      const std::vector<FlatNode> &Nodes = Forest.flat().Trees[T].Nodes;
       for (size_t R = 0; R < N; ++R) {
         if (InBag[R])
           continue;
-        const FlatNode<double> *Node = &Nodes[0];
+        const FlatNode *Node = &Nodes[0];
         while (!Node->isLeaf())
           Node = &Nodes[D.column(Node->Feature)[R] <= Node->Value
                             ? Node->Child[0]

@@ -168,18 +168,15 @@ TEST(SimdKernelTest, QuantizeScaleClampBitIdentical) {
   for (size_t N : Sizes) {
     std::vector<double> X = randomVector(N, 1200 + N);
     std::vector<double> Scale = randomVector(N, 1300 + N);
-    std::vector<double> Offset = randomVector(N, 1400 + N);
     // A couple of values far outside the clamp range.
     X[0] = 9e9;
     if (N > 1)
       X[N - 1] = -9e9;
     std::vector<int32_t> Ref(N), Got(N);
     setDefaultSimdMode(SimdMode::Scalar);
-    quantizeScaleClamp(X.data(), Scale.data(), Offset.data(), N, 1 << 20,
-                       Ref.data());
+    quantizeScaleClamp(X.data(), Scale.data(), N, 1 << 20, Ref.data());
     setDefaultSimdMode(SimdMode::Auto);
-    quantizeScaleClamp(X.data(), Scale.data(), Offset.data(), N, 1 << 20,
-                       Got.data());
+    quantizeScaleClamp(X.data(), Scale.data(), N, 1 << 20, Got.data());
     EXPECT_EQ(Ref, Got) << "N=" << N;
   }
 }
@@ -224,11 +221,9 @@ TEST(SimdKernelTest, QuantizeScaleClampHostileValuesAgreeEverywhere) {
     setDefaultSimdMode(Mode);
     for (const Case &K : Cases)
       for (size_t W = 1; W <= 17; ++W) {
-        const std::vector<double> X(W, K.X), Scale(W, K.Scale),
-            Offset(W, 0.0);
+        const std::vector<double> X(W, K.X), Scale(W, K.Scale);
         std::vector<int32_t> Out(W, 7);
-        quantizeScaleClamp(X.data(), Scale.data(), Offset.data(), W, Clamp,
-                           Out.data());
+        quantizeScaleClamp(X.data(), Scale.data(), W, Clamp, Out.data());
         for (size_t P = 0; P < W; ++P)
           EXPECT_EQ(Out[P], K.Expected)
               << "x=" << K.X << " scale=" << K.Scale << " width " << W
