@@ -45,6 +45,16 @@ struct Arm {
 
 int main(int Argc, char **Argv) {
   bench::parseArgs(Argc, Argv);
+  // Quantized inference has an integer kernel for the linear families
+  // only (ml/QuantizedModel.h), and this bench fits RF as well: refuse it
+  // here rather than after the datasets are built and the LR is fitted.
+  if (defaultInferenceAlgorithm() == InferenceAlgorithm::Quantized) {
+    std::fprintf(stderr,
+                 "error: unknown --infer-algo 'quantized' (accepted: fp): "
+                 "this bench fits RF, and quantized inference serves LR "
+                 "and NN only\n");
+    return 2;
+  }
   bench::banner("Future-work extension: compound augmentation");
 
   Machine M(Platform::intelHaswellServer(), 41);

@@ -23,7 +23,10 @@
 #include "sim/TestSuite.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <iterator>
 #include <optional>
 
 using namespace slope;
@@ -57,10 +60,9 @@ int main(int Argc, char **Argv) {
   std::vector<std::string> Rest = bench::parseArgs(Argc, Argv);
 
   // Driver-specific knobs (defaults are the CI gate's configuration).
-  size_t Observations = 1000000;
-  uint32_t Tenants = 10000;
-  size_t NumApps = 12;
-  size_t TrainApps = 200;
+  ServingConfig Config;
+  size_t Observations = 1000000, TenantCount = 10000, NumApps = 12;
+  size_t TrainApps = 200, Shards = Config.NumShards;
   std::string Family = "rf";
   // --retrain rls|refit|off: online-retrain mode. rls serves and updates
   // an RLS model (O(F^2) per observation); refit serves the same model
@@ -73,36 +75,68 @@ int main(int Argc, char **Argv) {
   std::string Retrain = "off";
   bool RetrainSeen = false;
   double Drift = 0;
-  ServingConfig Config;
+  // The counts, parsed whole: no sign, no suffix, at most nine digits
+  // (so every value fits its field). 0 is refused where the engine would
+  // quietly make it 1 (--epoch-size, --batch-size) or where nothing could
+  // be served; --shards 0 means one shard per pool thread.
+  const struct {
+    const char *Name;
+    size_t *Out;
+    bool ZeroMeansAuto;
+  } Counts[] = {{"--observations", &Observations, false},
+                {"--tenants", &TenantCount, false},
+                {"--apps", &NumApps, false},
+                {"--train-apps", &TrainApps, false},
+                {"--shards", &Shards, true},
+                {"--epoch-size", &Config.EpochSize, false},
+                {"--batch-size", &Config.BatchSize, false}};
+  // Both exit 2 before the banner, in the shared flags' error format.
+  auto NeedsValue = [](const std::string &Flag, const char *Accepted) {
+    std::fprintf(stderr, "error: %s needs a value (accepted: %s)\n",
+                 Flag.c_str(), Accepted);
+    std::exit(2);
+  };
+  auto Reject = [](const std::string &Flag, const std::string &Value,
+                   const char *Accepted) {
+    std::fprintf(stderr, "error: unknown %s '%s' (accepted: %s)\n",
+                 Flag.c_str(), Value.c_str(), Accepted);
+    std::exit(2);
+  };
   for (size_t I = 0; I < Rest.size(); ++I) {
-    auto Next = [&](size_t &Out) {
-      if (I + 1 < Rest.size())
-        Out = std::strtoull(Rest[++I].c_str(), nullptr, 10);
-    };
-    size_t Value = 0;
-    if (Rest[I] == "--observations") {
-      Next(Observations);
-    } else if (Rest[I] == "--tenants") {
-      Next(Value), Tenants = static_cast<uint32_t>(Value);
-    } else if (Rest[I] == "--apps") {
-      Next(NumApps);
-    } else if (Rest[I] == "--train-apps") {
-      Next(TrainApps);
-    } else if (Rest[I] == "--shards") {
-      Next(Value), Config.NumShards = static_cast<unsigned>(Value);
-    } else if (Rest[I] == "--epoch-size") {
-      Next(Config.EpochSize);
-    } else if (Rest[I] == "--batch-size") {
-      Next(Config.BatchSize);
-    } else if (Rest[I] == "--family" && I + 1 < Rest.size()) {
+    const std::string &Flag = Rest[I];
+    const bool HasValue = I + 1 < Rest.size();
+    const auto *Count =
+        std::find_if(std::begin(Counts), std::end(Counts),
+                     [&](const auto &C) { return Flag == C.Name; });
+    if (Count != std::end(Counts)) {
+      const char *Accepted = Count->ZeroMeansAuto
+                                 ? "a count; 0 = one shard per pool thread"
+                                 : "a count of at least 1";
+      if (!HasValue)
+        NeedsValue(Flag, Accepted);
+      const long long N = bench::parseCount(Rest[++I]);
+      if (N < (Count->ZeroMeansAuto ? 0 : 1))
+        Reject(Flag, Rest[I], Accepted);
+      *Count->Out = static_cast<size_t>(N);
+    } else if (Flag == "--family" && HasValue) {
       Family = Rest[++I];
-    } else if (Rest[I] == "--retrain" && I + 1 < Rest.size()) {
+    } else if (Flag == "--retrain" && HasValue) {
       Retrain = Rest[++I];
       RetrainSeen = true;
-    } else if (Rest[I] == "--drift" && I + 1 < Rest.size()) {
-      Drift = std::strtod(Rest[++I].c_str(), nullptr);
+    } else if (Flag == "--drift") {
+      const char *Accepted = "a finite number of at least 0";
+      if (!HasValue)
+        NeedsValue(Flag, Accepted);
+      const std::string &Value = Rest[++I];
+      char *End = nullptr;
+      Drift = std::strtod(Value.c_str(), &End);
+      if (Value.empty() || *End != '\0' || !std::isfinite(Drift) ||
+          Drift < 0)
+        Reject(Flag, Value, Accepted);
     }
   }
+  const auto Tenants = static_cast<uint32_t>(TenantCount);
+  Config.NumShards = static_cast<unsigned>(Shards);
   // Unknown values are errors, reported before any set-up or training.
   const std::optional<ModelFamily> FamilyKind = parseFamily(Family);
   if (!FamilyKind) {

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 using namespace slope;
 using namespace slope::core;
@@ -50,7 +51,6 @@ ServingEngine::ServingEngine(const ml::Model &M, size_t FeatureWidth,
     TenantShard[T] = T % static_cast<uint32_t>(Shards.size());
     TenantLocal[T] = T / static_cast<uint32_t>(Shards.size());
   }
-  std::vector<std::string> FeatureNames;
   FeatureNames.reserve(Width);
   for (size_t F = 0; F < Width; ++F)
     FeatureNames.push_back("pmc" + std::to_string(F));
@@ -69,10 +69,6 @@ ServingEngine::ServingEngine(const ml::Model &M, size_t FeatureWidth,
       Shards[SI].PendingRows.resize(BatchSize * Width);
       Shards[SI].PendingCells.resize(BatchSize);
       Shards[SI].PredQ.resize(BatchSize);
-    } else {
-      Shards[SI].Batch = ml::Dataset(FeatureNames);
-      Shards[SI].Batch.reserveRows(BatchSize);
-      Shards[SI].BatchCells.reserve(BatchSize);
     }
   }
   Folded.resize(static_cast<size_t>(NumTenants) * NumApps);
@@ -103,10 +99,6 @@ void ServingEngine::enableOnlineRetrain(ml::RlsLinearRegression &OnlineModel,
              "seed history width does not match the engine");
       History = *SeedHistory;
     } else {
-      std::vector<std::string> FeatureNames;
-      FeatureNames.reserve(Width);
-      for (size_t F = 0; F < Width; ++F)
-        FeatureNames.push_back("pmc" + std::to_string(F));
       History = ml::Dataset(FeatureNames);
     }
   }
@@ -143,32 +135,6 @@ void ServingEngine::ingest(uint32_t Tenant, uint32_t App,
   PendingLabels.push_back(Label);
   if (++PendingCount >= EpochSize)
     foldEpoch();
-}
-
-void ServingEngine::processShard(Shard &S, const size_t *Indices,
-                                 size_t NumIndices) {
-  for (size_t First = 0; First < NumIndices; First += BatchSize) {
-    const size_t Last = std::min(First + BatchSize, NumIndices);
-    S.Batch.clearRows();
-    S.BatchCells.clear();
-    for (size_t I = First; I < Last; ++I) {
-      const size_t Obs = Indices[I];
-      S.Batch.addRow(PendingFeatures.data() + Obs * Width, 0.0);
-      const size_t Local = TenantLocal[PendingTenants[Obs]];
-      S.BatchCells.push_back(Local * NumApps + PendingApps[Obs]);
-    }
-    const auto Start = std::chrono::steady_clock::now();
-    const std::vector<double> Predicted = Model->predictBatch(S.Batch);
-    S.BatchMs.push_back(std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - Start)
-                            .count());
-    ++S.Batches;
-    for (size_t R = 0; R < Predicted.size(); ++R) {
-      Cell &C = S.Cells[S.BatchCells[R]];
-      C.EnergyJ += Predicted[R];
-      C.Count += 1;
-    }
-  }
 }
 
 void ServingEngine::flushShardBatch(Shard &S) {
@@ -283,17 +249,54 @@ void ServingEngine::foldEpoch() {
       if (Shards[SI].PendingN > 0)
         flushShardBatch(Shards[SI]);
   } else {
-    // Shard epochs: one task per shard, each writing only its own
-    // slots — plain stores, no atomics (see support/ThreadPool.h
-    // parallelInvoke).
-    std::vector<std::function<void()>> Tasks;
-    Tasks.reserve(NumShards);
+    // Each shard's run, cut into BatchSize batches in shard order: the
+    // batch count per shard is ceil(run / BatchSize) at any thread count.
+    std::vector<std::pair<size_t, size_t>> Batches;
     for (size_t SI = 0; SI < NumShards; ++SI)
-      Tasks.push_back([this, SI, &Offsets] {
-        processShard(Shards[SI], PartitionScratch.data() + Offsets[SI],
-                     Offsets[SI + 1] - Offsets[SI]);
-      });
-    ThreadPool::global().parallelInvoke(Tasks);
+      for (size_t B = Offsets[SI]; B < Offsets[SI + 1]; B += BatchSize)
+        Batches.emplace_back(B, std::min(B + BatchSize, Offsets[SI + 1]));
+    // The batches are the pool's tasks. Each writes only its own slice of
+    // Predictions and its own latency slot, so a Zipf-hot shard's batches
+    // spread over the pool like any other's.
+    Predictions.resize(PartitionScratch.size());
+    const size_t FirstMs = Stats.BatchMs.size();
+    Stats.BatchMs.resize(FirstMs + Batches.size());
+    parallelFor(0, Batches.size(), 1, [&](size_t BI) {
+      const auto [Begin, End] = Batches[BI];
+      // One batch Dataset per pool thread, refilled in place. A fresh one
+      // per batch grew the allocator's heaps: on a 4-core Xeon, fleet-rf
+      // peak_rss_mb read 15.6 MB in 3 of 4 runs, against 13.7 MB in 4 of
+      // 4 with this reuse. Every engine names its features pmc0, pmc1,
+      // ..., so the width alone tells whether the schema fits.
+      thread_local ml::Dataset Batch;
+      if (Batch.numFeatures() != Width)
+        Batch = ml::Dataset(FeatureNames);
+      Batch.clearRows();
+      for (size_t P = Begin; P < End; ++P)
+        Batch.addRow(PendingFeatures.data() + PartitionScratch[P] * Width,
+                     0.0);
+      const auto Start = std::chrono::steady_clock::now();
+      const std::vector<double> Predicted = Model->predictBatch(Batch);
+      Stats.BatchMs[FirstMs + BI] =
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - Start)
+              .count();
+      std::copy(Predicted.begin(), Predicted.end(),
+                Predictions.data() + Begin);
+    });
+    Stats.Batches += Batches.size();
+    // Add each shard's predictions to its cells in partition order, which
+    // is trace order per cell.
+    for (size_t SI = 0; SI < NumShards; ++SI) {
+      Shard &S = Shards[SI];
+      for (size_t P = Offsets[SI]; P < Offsets[SI + 1]; ++P) {
+        const size_t Obs = PartitionScratch[P];
+        Cell &C = S.Cells[TenantLocal[PendingTenants[Obs]] * NumApps +
+                          PendingApps[Obs]];
+        C.EnergyJ += Predictions[P];
+        C.Count += 1;
+      }
+    }
   }
 
   // Score this epoch against its labels and (in retrain mode) advance

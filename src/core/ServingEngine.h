@@ -14,19 +14,24 @@
 /// Concurrency follows the per-CPU accumulator + periodic-fold idiom of
 /// in-kernel energy models: tenant state is sharded (tenant % NumShards,
 /// striped so Zipf-hot low tenant ids spread across shards), each shard
-/// owns plain per-shard accumulation slots written by exactly one task
-/// per epoch — no locks or atomics on the hot path — and an explicit
-/// epoch boundary folds every shard's running totals into the
-/// query-visible table in deterministic shard order.
+/// owns plain per-shard accumulation slots, and an explicit epoch boundary
+/// folds every shard's running totals into the query-visible table in
+/// deterministic shard order. The fold's parallel tasks are batches, not
+/// shards: each shard's run of the epoch is cut into BatchSize batches,
+/// and all batches of all shards go through one pool loop, each predicting
+/// into its own slice of a position-indexed buffer — no locks or atomics
+/// on the hot path, and a Zipf-hot shard no longer holds the whole fold
+/// on one thread.
 ///
 /// Determinism argument (the house bit-identity style): a (tenant, app)
-/// cell is owned by exactly one shard, that shard processes its
-/// observations in trace order (the epoch partition is a stable counting
-/// sort), and each prediction is a pure function of one feature row — so
+/// cell is owned by exactly one shard, the epoch partition is a stable
+/// counting sort (so each shard's run is in trace order), each prediction
+/// is a pure function of one feature row, and the predictions are added to
+/// their cells serially in partition order once every batch is done — so
 /// every cell's float accumulation order is trace order regardless of
-/// shard count, thread count, or batch size. Derived aggregates are
-/// summed from the folded cells in ascending (tenant, app) order, never
-/// across shards, so replaying the same trace is bit-identical at any
+/// shard count, thread count, or batch size. Derived aggregates are summed
+/// from the folded cells in ascending (tenant, app) order, never across
+/// shards, so replaying the same trace is bit-identical at any
 /// shard/thread count.
 ///
 /// Serving a ml::QuantizedModel switches the hot loop to the integer fast
@@ -59,6 +64,7 @@
 #include "support/AlignedBuffer.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace slope {
@@ -194,8 +200,8 @@ private:
     uint64_t Count = 0;
   };
 
-  /// Per-shard state: running accumulators for the owned tenants plus
-  /// reused inference scratch. Written only by this shard's epoch task.
+  /// Per-shard state: running accumulators for the owned tenants plus,
+  /// on the quantized path, the staged batch and its scratch.
   struct Shard {
     /// Running totals, local-tenant-major (localTenant * NumApps + app);
     /// local tenant L is global tenant L * NumShards + shardIndex.
@@ -229,17 +235,13 @@ private:
     size_t PendingN = 0;
     /// Quantized path only: reused per-batch prediction-quanta buffer.
     std::vector<int64_t> PredQ;
-    ml::Dataset Batch;               ///< Reused bounded inference batch.
-    std::vector<size_t> BatchCells;  ///< Cell index per batch row.
-    std::vector<double> BatchMs;     ///< Latencies since the last fold.
-    uint64_t Batches = 0;            ///< Batches since the last fold.
+    /// Quantized path only: latencies and batch count since the last
+    /// fold (the FP fold records its batches in Stats directly).
+    std::vector<double> BatchMs;
+    uint64_t Batches = 0;
   };
 
   unsigned shardOf(uint32_t Tenant) const { return TenantShard[Tenant]; }
-
-  /// Runs one shard's slice of the pending epoch: batches the rows
-  /// through the model and accumulates predictions in trace order.
-  void processShard(Shard &S, const size_t *Indices, size_t NumIndices);
 
   /// Integer fast path: predictQuantizedMany straight over the shard's
   /// staged int32 batch into its quanta accumulators — no Dataset
@@ -259,12 +261,13 @@ private:
   /// fit in the current epoch.
   void stageQuantized(const FleetTrace &Trace, size_t Begin, size_t End);
 
-  /// Partitions pending observations by shard (stable), fans the shards
-  /// out over the pool, then folds in shard order. In online-retrain mode
-  /// this is also where the model advances: a serial trace-order pass
-  /// scores the epoch-start model against the epoch's labels (staleness
-  /// stats), then feeds the labeled rows into the online model
-  /// (Phase::RlsUpdate) or refits it over the accumulated history
+  /// Partitions pending observations by shard (stable), runs every
+  /// shard's batches through one pool loop, adds the predictions to their
+  /// cells in partition order, then folds in shard order. In
+  /// online-retrain mode this is also where the model advances: a serial
+  /// trace-order pass scores the epoch-start model against the epoch's
+  /// labels (staleness stats), then feeds the labeled rows into the online
+  /// model (Phase::RlsUpdate) or refits it over the accumulated history
   /// (Phase::Refit) before the next epoch begins.
   void foldEpoch();
 
@@ -308,6 +311,8 @@ private:
   std::vector<double> PendingFeatures; ///< Flat row-major (FP path).
   std::vector<double> PendingLabels; ///< Per-row label (NaN = unlabeled).
   std::vector<size_t> PartitionScratch; ///< Reused stable-partition output.
+  std::vector<double> Predictions; ///< FP fold: one per partition position.
+  std::vector<std::string> FeatureNames; ///< pmc0, pmc1, ...: batch schema.
   size_t PendingCount = 0; ///< Observations buffered since the last fold.
 };
 

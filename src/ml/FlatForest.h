@@ -10,16 +10,21 @@
 ///
 /// A node holds one value — the split threshold, or on a leaf the leaf
 /// value — the split feature and two tree-local child indices. Leaves point
-/// both children at themselves, so a walk of exactly the tree's fitted
-/// depth ends on the row's leaf with no data-dependent branch:
-/// node = Child[!(x[Feature] <= Value)], the growth rule's
-/// `x <= t ? left : right` with NaN going right.
+/// both children at themselves, so one walk step has no data-dependent
+/// branch: node = Child[!(x[Feature] <= Value)], the growth rule's
+/// `x <= t ? left : right` with NaN going right, and a row that has reached
+/// its leaf stays on it.
 ///
-/// sumForestLeaves walks the forest tree by tree with four rows in flight.
-/// The four walks are independent load chains, so their latencies overlap,
-/// and each tree's nodes stay cache-hot across the whole batch. Every row
-/// adds its leaves in ensemble order, the same additions in the same order
-/// as a row-by-row walk, so the sums are bit-identical to one.
+/// sumForestLeaves walks the forest tree by tree over blocks of rows, four
+/// rows in flight. The four walks are independent load chains, so their
+/// latencies overlap, and each tree's nodes stay cache-hot across the whole
+/// block. Rows leave the walk at their leaf: every row of the block first
+/// walks a fixed stretch of levels, then the rows not yet on a leaf are
+/// compacted into an active list, and only those walk on, stretch by
+/// stretch, until none is left. A row stops on the same leaf a walk of the
+/// tree's full depth ends on, and every row adds its leaves in ensemble
+/// order, the same additions in the same order as a row-by-row walk, so
+/// the sums are bit-identical to one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +57,8 @@ struct alignas(32) FlatNode {
 /// One tree in flat form: its nodes, root first, and its fitted depth.
 struct FlatTree {
   std::vector<FlatNode> Nodes;
-  uint32_t Depth = 0; ///< Longest root-to-leaf path: the walk length.
+  /// Longest root-to-leaf path: the most levels any row walks.
+  uint32_t Depth = 0;
 };
 
 /// A tree ensemble in flat form, trees in ensemble order.
@@ -75,7 +81,19 @@ void sumForestLeaves(const FlatForest &F, size_t N, RowFn RowOf,
   // alternating pairs on a 4-core Xeon, request_p50_ms 14.26 vs 13.84 ms
   // and items_per_s 564k vs 581k at the medians.
   constexpr size_t Block = 256;
+  // Levels every row walks before the first compaction, and levels per
+  // later stretch. fleet-rf's 100 trees are 13.9 levels deep on average,
+  // and its rows reach their leaf after 7.8. Walking its 65,536-row trace
+  // on one thread of a 4-core Xeon, the median of 60 interleaved rounds
+  // was 2.25 us per row, against 3.01 us for a walk of the full depth.
+  // First stretches of 4 to 8 levels with later ones of 2 to 4 read 2.1 to
+  // 2.3 us. Starting from each tree's shallowest leaf (2.6 levels on
+  // average) read 2.8 to 3.4 us: there the compactions cost more than the
+  // steps they save.
+  constexpr uint32_t FirstStretch = 6, Stretch = 3;
   const double *Rows[Block];
+  uint32_t At[Block];     // The node each row of the block stands on.
+  uint32_t Active[Block]; // Block rows not yet on a leaf, ascending.
   for (size_t B0 = 0; B0 < N; B0 += Block) {
     const size_t BN = std::min(Block, N - B0);
     for (size_t R = 0; R < BN; ++R)
@@ -89,28 +107,51 @@ void sumForestLeaves(const FlatForest &F, size_t N, RowFn RowOf,
         const FlatNode &Node = Nodes[I];
         return Node.Child[!(Row[Node.Feature] <= Node.Value)];
       };
-      size_t R = 0;
-      for (; R + 4 <= BN; R += 4) {
-        const double *R0 = Rows[R], *R1 = Rows[R + 1];
-        const double *R2 = Rows[R + 2], *R3 = Rows[R + 3];
-        uint32_t I0 = 0, I1 = 0, I2 = 0, I3 = 0;
-        for (uint32_t D = 0; D < Depth; ++D) {
-          I0 = Step(I0, R0);
-          I1 = Step(I1, R1);
-          I2 = Step(I2, R2);
-          I3 = Step(I3, R3);
+      for (size_t R = 0; R < BN; ++R) {
+        Active[R] = static_cast<uint32_t>(R);
+        At[R] = 0;
+      }
+      size_t NumActive = BN;
+      uint32_t Walked = 0, Len = std::min(FirstStretch, Depth);
+      while (NumActive > 0 && Walked < Depth) {
+        size_t J = 0;
+        for (; J + 4 <= NumActive; J += 4) {
+          const uint32_t A0 = Active[J], A1 = Active[J + 1];
+          const uint32_t A2 = Active[J + 2], A3 = Active[J + 3];
+          const double *R0 = Rows[A0], *R1 = Rows[A1];
+          const double *R2 = Rows[A2], *R3 = Rows[A3];
+          uint32_t I0 = At[A0], I1 = At[A1], I2 = At[A2], I3 = At[A3];
+          for (uint32_t D = 0; D < Len; ++D) {
+            I0 = Step(I0, R0);
+            I1 = Step(I1, R1);
+            I2 = Step(I2, R2);
+            I3 = Step(I3, R3);
+          }
+          At[A0] = I0;
+          At[A1] = I1;
+          At[A2] = I2;
+          At[A3] = I3;
         }
-        BOut[R] += Nodes[I0].Value;
-        BOut[R + 1] += Nodes[I1].Value;
-        BOut[R + 2] += Nodes[I2].Value;
-        BOut[R + 3] += Nodes[I3].Value;
+        for (; J < NumActive; ++J) {
+          const uint32_t A = Active[J];
+          uint32_t I = At[A];
+          for (uint32_t D = 0; D < Len; ++D)
+            I = Step(I, Rows[A]);
+          At[A] = I;
+        }
+        Walked += Len;
+        Len = std::min(Stretch, Depth - Walked);
+        // Keep the rows still short of a leaf, branch-free.
+        size_t Kept = 0;
+        for (J = 0; J < NumActive; ++J) {
+          const uint32_t A = Active[J];
+          Active[Kept] = A;
+          Kept += !Nodes[At[A]].isLeaf();
+        }
+        NumActive = Kept;
       }
-      for (; R < BN; ++R) {
-        uint32_t I = 0;
-        for (uint32_t D = 0; D < Depth; ++D)
-          I = Step(I, Rows[R]);
-        BOut[R] += Nodes[I].Value;
-      }
+      for (size_t R = 0; R < BN; ++R)
+        BOut[R] += Nodes[At[R]].Value;
     }
   }
 }

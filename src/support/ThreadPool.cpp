@@ -148,11 +148,6 @@ void ThreadPool::parallelFor(size_t Begin, size_t End, size_t Chunk,
     std::rethrow_exception(State->FirstError);
 }
 
-void ThreadPool::parallelInvoke(
-    const std::vector<std::function<void()>> &Tasks) {
-  parallelFor(0, Tasks.size(), 1, [&Tasks](size_t I) { Tasks[I](); });
-}
-
 namespace {
 
 std::mutex GlobalPoolMutex;

@@ -7,7 +7,8 @@
 /// \file
 /// A fixed-size thread pool with a chunked parallel-for helper, used to
 /// parallelize the experiment engine (per-tree forest fitting, per-variant
-/// model sweeps, per-event additivity trials). Determinism is a design
+/// model sweeps, per-event additivity trials) and the serving engine's
+/// epoch fold (one task per inference batch). Determinism is a design
 /// requirement: parallelFor only distributes *independent* index ranges,
 /// and every call site derives per-task randomness via Rng::fork(Index)
 /// and reduces results in index order, so parallel output is bit-identical
@@ -64,15 +65,6 @@ public:
   /// must be written to disjoint, pre-sized slots.
   void parallelFor(size_t Begin, size_t End, size_t Chunk,
                    const std::function<void(size_t)> &Fn);
-
-  /// Runs every task in \p Tasks once, distributing them over the workers
-  /// with the calling thread participating; blocks until all completed.
-  /// This is the epoch-coordination entry point for a small number of
-  /// heterogeneous tasks (e.g. one per state shard) rather than a
-  /// homogeneous index range: each task owns its slot of pre-partitioned
-  /// work and writes only its own state, so no locks or atomics are
-  /// needed inside the tasks. Exceptions propagate as in parallelFor.
-  void parallelInvoke(const std::vector<std::function<void()>> &Tasks);
 
   /// \returns the process-global pool, (re)sized per the current
   /// configuration. Do not reconfigure while parallel work is in flight.

@@ -4,10 +4,20 @@
 # banner before any set-up or training), and an error on stderr naming the
 # flag, the value and the accepted values.
 #
+#
 #   cmake -DBIN=<program> [-DARGS="--infer-algo quantized"] -DFLAG=--family
 #         -DVALUE=xyz -P ExpectRejected.cmake
+#
+# With -DIN_ENV=ON the value comes from the test's environment (the flag's
+# SLOPE_* variable), so FLAG and VALUE only name the expected error and are
+# not passed on the command line.
 separate_arguments(Leading UNIX_COMMAND "${ARGS}")
-execute_process(COMMAND ${BIN} ${Leading} ${FLAG} ${VALUE}
+if(IN_ENV)
+  set(Passed "")
+else()
+  set(Passed ${FLAG} ${VALUE})
+endif()
+execute_process(COMMAND ${BIN} ${Leading} ${Passed}
                 RESULT_VARIABLE Result
                 OUTPUT_VARIABLE Out
                 ERROR_VARIABLE Err

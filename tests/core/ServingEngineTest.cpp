@@ -429,6 +429,10 @@ TEST(FleetTrace, RejectsDegenerateConfigurations) {
 }
 
 TEST(ServingEngine, ServesARealEstimatorTraceAcrossShardCounts) {
+  // LR and RF estimators, served with small batches so several batches of
+  // one shard are in flight at once: every shard and thread count must
+  // replay the 1-shard, 1-thread tables bit for bit, with the batch count
+  // fixed by the shard count alone.
   ThreadCountGuard Guard;
   Machine M(Platform::intelSkylakeServer(), 21);
   power::HclWattsUp Meter(M, std::make_unique<power::WattsUpProMeter>());
@@ -437,34 +441,57 @@ TEST(ServingEngine, ServesARealEstimatorTraceAcrossShardCounts) {
   std::vector<CompoundApplication> Apps;
   for (uint64_t N = 7000; N <= 18000; N += 1000)
     Apps.emplace_back(Application(KernelKind::MklDgemm, N));
-  auto Estimator = OnlineEstimator::train(M, Meter, Names, Apps);
-  ASSERT_TRUE(bool(Estimator));
 
-  FleetTraceConfig Config;
-  Config.NumObservations = 2000;
-  Config.NumTenants = 50;
-  Config.PrototypesPerApp = 2;
-  auto Trace = FleetTrace::synthesize(M, Estimator->events(), Apps, Config);
-  ASSERT_TRUE(bool(Trace));
+  for (ModelFamily Family : {ModelFamily::LR, ModelFamily::RF}) {
+    SCOPED_TRACE(modelFamilyName(Family));
+    auto Estimator = OnlineEstimator::train(M, Meter, Names, Apps, Family);
+    ASSERT_TRUE(bool(Estimator));
 
-  ServingConfig OneShard;
-  OneShard.NumShards = 1;
-  OneShard.EpochSize = 256;
-  ServingEngine Reference(Estimator->model(), Trace->width(),
-                          Config.NumTenants, Trace->numApps(), OneShard);
-  Reference.replay(*Trace);
-  EXPECT_EQ(Reference.stats().Observations, Trace->size());
-  EXPECT_GT(Reference.fleetEnergy(), 0.0);
+    FleetTraceConfig Config;
+    Config.NumObservations = 2000;
+    Config.NumTenants = 50;
+    Config.PrototypesPerApp = 2;
+    auto Trace = FleetTrace::synthesize(M, Estimator->events(), Apps, Config);
+    ASSERT_TRUE(bool(Trace));
 
-  ThreadPool::setGlobalThreadCount(4);
-  ServingConfig FourShards = OneShard;
-  FourShards.NumShards = 4;
-  ServingEngine Sharded(Estimator->model(), Trace->width(),
-                        Config.NumTenants, Trace->numApps(), FourShards);
-  Sharded.replay(*Trace);
-  for (uint32_t Tenant = 0; Tenant < Config.NumTenants; ++Tenant)
-    ASSERT_EQ(Sharded.tenantEnergy(Tenant), Reference.tenantEnergy(Tenant));
-  ASSERT_EQ(Sharded.fleetEnergy(), Reference.fleetEnergy());
+    auto Replay = [&](unsigned Shards, unsigned Threads) {
+      ThreadPool::setGlobalThreadCount(Threads);
+      ServingConfig Serving;
+      Serving.NumShards = Shards;
+      Serving.EpochSize = 256;
+      Serving.BatchSize = 16;
+      ServingEngine Engine(Estimator->model(), Trace->width(),
+                           Config.NumTenants, Trace->numApps(), Serving);
+      Engine.replay(*Trace);
+      return Engine;
+    };
+    const ServingEngine Reference = Replay(1, 1);
+    EXPECT_EQ(Reference.stats().Observations, Trace->size());
+    EXPECT_GT(Reference.fleetEnergy(), 0.0);
+
+    for (unsigned Shards : {1u, 2u, 4u}) {
+      uint64_t Batches = 0;
+      for (unsigned Threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(std::to_string(Shards) + " shards, " +
+                     std::to_string(Threads) + " threads");
+        const ServingEngine Engine = Replay(Shards, Threads);
+        if (Threads == 1)
+          Batches = Engine.stats().Batches;
+        EXPECT_EQ(Engine.stats().Batches, Batches);
+        EXPECT_EQ(Engine.stats().BatchMs.size(), Batches);
+        for (uint32_t Tenant = 0; Tenant < Config.NumTenants; ++Tenant) {
+          ASSERT_EQ(Engine.tenantEnergy(Tenant),
+                    Reference.tenantEnergy(Tenant))
+              << "tenant " << Tenant;
+          ASSERT_EQ(Engine.tenantObservations(Tenant),
+                    Reference.tenantObservations(Tenant));
+        }
+        for (uint32_t App = 0; App < Trace->numApps(); ++App)
+          ASSERT_EQ(Engine.appEnergy(App), Reference.appEnergy(App));
+        ASSERT_EQ(Engine.fleetEnergy(), Reference.fleetEnergy());
+      }
+    }
+  }
 }
 
 namespace {

@@ -10,9 +10,9 @@
 // `x <= t ? left : right` until a node loops to itself, sum the trees in
 // ensemble order, divide by the tree count. The fast paths must equal it
 // bit for bit at every batch size that leaves a different tail of the
-// four-row block, on trees of mixed depth (single leaves and stumps
-// included), on rows exactly at split thresholds, and on signed zeros,
-// NaN and infinities.
+// four-row group and of the 256-row block, on trees of every depth up to
+// 16 and of mixed depth (single leaves and stumps included), on rows
+// exactly at split thresholds, and on signed zeros, NaN and infinities.
 //
 //===----------------------------------------------------------------------===//
 
@@ -91,13 +91,16 @@ Dataset hostileRows(const RandomForest &Forest, size_t Width, size_t N,
 }
 
 /// predictBatch and predict equal the oracle bit for bit on every batch
-/// size 1..17 (every tail of the four-row block) and 256.
+/// size 1..17 (every tail of the four-row group), on one full 256-row
+/// block, and on 255, 257 and 515 rows, which end short of a block or
+/// just past one.
 void expectMatchesOracle(const RandomForest &Forest, size_t Width,
                          uint64_t Seed) {
   std::vector<size_t> Sizes;
   for (size_t N = 1; N <= 17; ++N)
     Sizes.push_back(N);
-  Sizes.push_back(256);
+  for (size_t N : {255, 256, 257, 515})
+    Sizes.push_back(N);
   for (size_t N : Sizes) {
     Dataset Rows = hostileRows(Forest, Width, N, Seed + N);
     const std::vector<double> Batch = Forest.predictBatch(Rows);
@@ -137,13 +140,25 @@ Dataset smoothData(size_t N, size_t Width, uint64_t Seed) {
 } // namespace
 
 TEST(FlatForest, DeepForestMatchesOracle) {
-  RandomForestOptions Options;
-  Options.NumTrees = 23;
-  Options.Tree.MinSamplesLeaf = 1;
-  Options.Tree.MinSamplesSplit = 2;
-  RandomForest Forest(Options);
-  ASSERT_TRUE(bool(Forest.fit(smoothData(300, 4, 1))));
-  expectMatchesOracle(Forest, 4, 100);
+  // Every depth cap up to the default, so the fitted depths cross every
+  // boundary between the walk's stretches, and rows reach their leaves
+  // inside the first stretch, inside a later one and at its last level.
+  const Dataset Train = smoothData(300, 4, 1);
+  for (unsigned MaxDepth = 1; MaxDepth <= 16; ++MaxDepth) {
+    SCOPED_TRACE("MaxDepth " + std::to_string(MaxDepth));
+    RandomForestOptions Options;
+    Options.NumTrees = 23;
+    Options.Tree.MinSamplesLeaf = 1;
+    Options.Tree.MinSamplesSplit = 2;
+    Options.Tree.MaxDepth = MaxDepth;
+    RandomForest Forest(Options);
+    ASSERT_TRUE(bool(Forest.fit(Train)));
+    uint32_t Deepest = 0;
+    for (const FlatTree &Tree : Forest.flat().Trees)
+      Deepest = std::max(Deepest, Tree.Depth);
+    EXPECT_EQ(Deepest, MaxDepth);
+    expectMatchesOracle(Forest, 4, 100 + MaxDepth);
+  }
 }
 
 TEST(FlatForest, MixedDepthsWithLeavesAndStumpsMatchOracle) {

@@ -101,18 +101,6 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
     EXPECT_EQ(Visits[I].load(), 1);
 }
 
-TEST(ThreadPool, ParallelInvokeRunsEveryTaskOnce) {
-  ThreadPool Pool(4);
-  std::vector<std::atomic<int>> Visits(37);
-  std::vector<std::function<void()>> Tasks;
-  for (size_t I = 0; I < Visits.size(); ++I)
-    Tasks.push_back([&Visits, I] { Visits[I].fetch_add(1); });
-  Pool.parallelInvoke(Tasks);
-  for (size_t I = 0; I < Visits.size(); ++I)
-    EXPECT_EQ(Visits[I].load(), 1) << "task " << I;
-  Pool.parallelInvoke({}); // Empty task lists are a no-op.
-}
-
 TEST(ThreadPool, GlobalThreadCountOverride) {
   ThreadCountGuard Guard;
   ThreadPool::setGlobalThreadCount(3);
