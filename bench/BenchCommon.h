@@ -17,12 +17,9 @@
 
 #include "core/Experiments.h"
 #include "core/Report.h"
-#include "ml/DecisionTree.h"
-#include "ml/NeuralNetwork.h"
 #include "ml/QuantizedModel.h"
 #include "ml/RlsLinearRegression.h"
 #include "pmc/PlatformEvents.h"
-#include "sim/Machine.h"
 #include "stats/SimdKernels.h"
 #include "support/PhaseTimers.h"
 #include "support/Str.h"
@@ -33,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,13 +42,6 @@ namespace bench {
 inline std::string &benchJsonPath() {
   static std::string Path;
   return Path;
-}
-
-/// Value of --sweep-repeat (default 1); benches that support repetition
-/// forward it into their experiment config.
-inline unsigned &sweepRepeatFlag() {
-  static unsigned Repeat = 1;
-  return Repeat;
 }
 
 /// Value of --profile-repeat (default 1); benches that support it forward
@@ -68,12 +59,14 @@ inline unsigned &requestedThreads() {
   return Threads;
 }
 
-/// One shared bench flag, accepted as `--flag V` or `--flag=V`.
-struct SharedFlag {
+/// One command-line flag, accepted as `--flag V` or `--flag=V`.
+struct Flag {
   const char *Name;
-  const char *Accepted; ///< Names the accepted values in the error.
+  /// Names the accepted values in the error; null marks a switch, which
+  /// takes no value (Apply then receives an empty string).
+  const char *Accepted;
   /// Applies \p Value; \returns false when the value is not accepted.
-  bool (*Apply)(const std::string &Value);
+  std::function<bool(const std::string &Value)> Apply;
 };
 
 /// \returns \p Value as an unsigned decimal count, or -1 when it is not
@@ -83,6 +76,19 @@ inline long long parseCount(const std::string &Value) {
       Value.find_first_not_of("0123456789") != std::string::npos)
     return -1;
   return std::stoll(Value);
+}
+
+/// A flag storing a count of at least \p Min into \p Out.
+template <typename T>
+Flag countFlag(const char *Name, T &Out, long long Min = 1,
+               const char *Accepted = "a count of at least 1") {
+  return {Name, Accepted, [&Out, Min](const std::string &V) {
+            const long long N = parseCount(V);
+            if (N < Min)
+              return false;
+            Out = static_cast<T>(N);
+            return true;
+          }};
 }
 
 /// Applies \p Value to the first of \p Choices whose name it equals;
@@ -101,62 +107,40 @@ bool applyChoice(const std::string &Value,
 
 /// The shared bench flags, each declared once. `--threads N` (or the
 /// SLOPE_THREADS environment variable) sizes the global experiment thread
-/// pool, 0 meaning automatic; parallel results are bit-identical at any
-/// setting, so the knob trades wall clock only. `--tree-algo`, `--nn-algo`
-/// and `--synth-algo` select between the bit-identical naive reference
-/// and fast kernels of tree growth, neural-network training and counter
-/// synthesis (perf gates compare the two sides). `--infer-algo
-/// fp|quantized` (or SLOPE_INFER_ALGO) selects the inference kernel
-/// core/ModelZoo and core/OnlineEstimator serve; quantized exists for LR
-/// and identity-transfer NNs only (other families are a build error).
-/// Unlike the bit-neutral switches it changes numerics within
-/// ml/QuantizedModel's documented error bound, so the CI gate checks
-/// speedup and tolerance together. `--fit-algo rls|refit`
-/// (or SLOPE_FIT_ALGO) selects the online-model maintenance path
-/// (O(F^2) Sherman-Morrison updates vs the O(N*F^2) full-refit
-/// reference); like --infer-algo it is tolerance-gated, not
-/// bit-identical — see ml/RlsLinearRegression.h. `--simd
-/// auto|avx2|scalar` (or SLOPE_SIMD) selects the SIMD kernel variant:
-/// auto (the default) enables only the bit-identical column-parallel
-/// AVX2 kernels, avx2 additionally opts into the reassociating K-split
-/// kernels, scalar forces the reference — see stats/SimdKernels.h.
-/// `--bench-json PATH` (or SLOPE_BENCH_JSON) writes a machine-readable
-/// timing summary to PATH without changing anything on stdout.
-/// `--sweep-repeat N` repeats the model sweep in benches that support it;
-/// `--profile-repeat N` likewise repeats the profiling campaign (extra
-/// passes discarded).
-inline const std::vector<SharedFlag> &sharedFlags() {
+/// pool, 0 meaning automatic and ThreadPool::MaxThreads the most; parallel
+/// results are bit-identical at any setting, so the knob trades wall clock
+/// only. `--infer-algo fp|quantized` (or SLOPE_INFER_ALGO) selects the
+/// inference kernel core/ModelZoo and core/OnlineEstimator serve;
+/// quantized exists for LR and identity-transfer NNs only (other families
+/// are a build error). It changes numerics within ml/QuantizedModel's
+/// documented error bound, so the CI gate checks speedup and tolerance
+/// together. `--fit-algo rls|refit` (or SLOPE_FIT_ALGO) selects the
+/// online-model maintenance path (O(F^2) Sherman-Morrison updates vs the
+/// O(N*F^2) full-refit reference); like --infer-algo it is
+/// tolerance-gated, not bit-identical — see ml/RlsLinearRegression.h.
+/// `--simd auto|avx2|scalar` (or SLOPE_SIMD) selects the SIMD kernel
+/// variant: auto (the default) enables only the bit-identical
+/// column-parallel AVX2 kernels, avx2 additionally opts into the
+/// reassociating K-split kernels, scalar forces the reference — see
+/// stats/SimdKernels.h. `--bench-json PATH` (or SLOPE_BENCH_JSON) writes a
+/// machine-readable timing summary to PATH without changing anything on
+/// stdout. `--profile-repeat N` repeats the profiling campaign in benches
+/// that support it (extra passes discarded). The bit-identical fast
+/// kernels of tree growth, network training and counter synthesis have
+/// no switch: their seed kernels live in tests/reference as oracles.
+inline const std::vector<Flag> &sharedFlags() {
   using namespace slope;
-  static const std::vector<SharedFlag> Flags = {
-      {"--threads", "a count; 0 = automatic",
+  static_assert(ThreadPool::MaxThreads == 1024,
+                "--threads names the maximum in its error");
+  static const std::vector<Flag> Flags = {
+      {"--threads", "a count up to 1024; 0 = automatic",
        [](const std::string &V) {
          long long N = parseCount(V);
-         if (N < 0)
+         if (N < 0 || N > ThreadPool::MaxThreads)
            return false;
          requestedThreads() = static_cast<unsigned>(N);
          ThreadPool::setGlobalThreadCount(requestedThreads());
          return true;
-       }},
-      {"--tree-algo", "naive, presorted",
-       [](const std::string &V) {
-         static const std::pair<const char *, ml::TreeAlgorithm> C[] = {
-             {"naive", ml::TreeAlgorithm::Naive},
-             {"presorted", ml::TreeAlgorithm::Presorted}};
-         return applyChoice(V, C, ml::setDefaultTreeAlgorithm);
-       }},
-      {"--nn-algo", "naive, batched",
-       [](const std::string &V) {
-         static const std::pair<const char *, ml::NnAlgorithm> C[] = {
-             {"naive", ml::NnAlgorithm::Naive},
-             {"batched", ml::NnAlgorithm::Batched}};
-         return applyChoice(V, C, ml::setDefaultNnAlgorithm);
-       }},
-      {"--synth-algo", "naive, batched",
-       [](const std::string &V) {
-         static const std::pair<const char *, sim::SynthAlgorithm> C[] = {
-             {"naive", sim::SynthAlgorithm::Naive},
-             {"batched", sim::SynthAlgorithm::Batched}};
-         return applyChoice(V, C, sim::setDefaultSynthAlgorithm);
        }},
       {"--infer-algo", "fp, quantized",
        [](const std::string &V) {
@@ -185,71 +169,80 @@ inline const std::vector<SharedFlag> &sharedFlags() {
          benchJsonPath() = V;
          return !V.empty();
        }},
-      {"--sweep-repeat", "a count of at least 1",
-       [](const std::string &V) {
-         long long N = parseCount(V);
-         if (N < 1)
-           return false;
-         sweepRepeatFlag() = static_cast<unsigned>(N);
-         return true;
-       }},
-      {"--profile-repeat", "a count of at least 1",
-       [](const std::string &V) {
-         long long N = parseCount(V);
-         if (N < 1)
-           return false;
-         profileRepeatFlag() = static_cast<unsigned>(N);
-         return true;
-       }},
+      countFlag("--profile-repeat", profileRepeatFlag()),
   };
   return Flags;
 }
 
-/// Parses the shared bench flags (see sharedFlags) and \returns the
-/// remaining positional arguments. A value a flag does not accept, or a
-/// flag without its value, exits with status 2 and an error naming the
-/// accepted values, before the program prints anything. google-benchmark
-/// style `--benchmark_*` flags are accepted and ignored so CI can pass
-/// one command line to every bench binary.
-inline std::vector<std::string> parseArgs(int Argc, char **Argv) {
+/// Prints "error: MESSAGE" to stderr and exits with status 2: the bench
+/// programs' one response to a command line they do not accept.
+[[noreturn]] inline void usageError(const std::string &Message) {
+  std::fprintf(stderr, "error: %s\n", Message.c_str());
+  std::exit(2);
+}
+
+/// Parses the shared bench flags (see sharedFlags) and the driver's own
+/// \p DriverFlags. \returns the positional arguments: at most one, and
+/// only when \p Positional names what it is (e.g. "a results CSV path").
+/// A value a flag does not accept, a flag without its value, and any
+/// other argument exit with status 2 and an error naming what is
+/// accepted, before the program prints anything. google-benchmark style
+/// `--benchmark_*` flags are accepted and ignored so CI can pass one
+/// command line to every bench binary.
+inline std::vector<std::string>
+parseArgs(int Argc, char **Argv, const std::vector<Flag> &DriverFlags = {},
+          const char *Positional = nullptr) {
   if (const char *Env = std::getenv("SLOPE_BENCH_JSON"))
     benchJsonPath() = Env;
-  std::vector<std::string> Positional;
+  std::vector<const Flag *> Known;
+  for (const Flag &F : sharedFlags())
+    Known.push_back(&F);
+  for (const Flag &F : DriverFlags)
+    Known.push_back(&F);
+  std::vector<std::string> Positionals;
   for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    const SharedFlag *Matched = nullptr;
+    const std::string Arg = Argv[I];
+    const Flag *Matched = nullptr;
     std::string Value;
-    for (const SharedFlag &Flag : sharedFlags()) {
-      const size_t Len = std::strlen(Flag.Name);
-      if (Arg == Flag.Name) {
-        if (I + 1 == Argc) {
-          std::fprintf(stderr, "error: %s needs a value (accepted: %s)\n",
-                       Flag.Name, Flag.Accepted);
-          std::exit(2);
+    for (const Flag *F : Known) {
+      const size_t Len = std::strlen(F->Name);
+      if (Arg == F->Name) {
+        Matched = F;
+        if (F->Accepted) {
+          if (I + 1 == Argc)
+            usageError(std::string(F->Name) + " needs a value (accepted: " +
+                       F->Accepted + ")");
+          Value = Argv[++I];
         }
-        Matched = &Flag;
-        Value = Argv[++I];
-      } else if (Arg.compare(0, Len, Flag.Name) == 0 && Arg.size() > Len &&
-                 Arg[Len] == '=') {
-        Matched = &Flag;
+      } else if (F->Accepted && Arg.compare(0, Len, F->Name) == 0 &&
+                 Arg.size() > Len && Arg[Len] == '=') {
+        Matched = F;
         Value = Arg.substr(Len + 1);
       }
       if (Matched)
         break;
     }
     if (Matched) {
-      if (!Matched->Apply(Value)) {
-        std::fprintf(stderr, "error: unknown %s '%s' (accepted: %s)\n",
-                     Matched->Name, Value.c_str(), Matched->Accepted);
-        std::exit(2);
-      }
-    } else if (Arg.rfind("--benchmark_", 0) != 0) {
-      // --benchmark_* is ignored: lets the CI smoke step pass
-      // google-benchmark flags to table binaries that render directly.
-      Positional.push_back(std::move(Arg));
+      if (!Matched->Apply(Value))
+        usageError(std::string("unknown ") + Matched->Name + " '" + Value +
+                   "' (accepted: " + Matched->Accepted + ")");
+    } else if (Arg.rfind("--benchmark_", 0) == 0) {
+      // Ignored: lets the CI smoke step pass google-benchmark flags to
+      // table binaries that render directly.
+    } else if (Positional && Positionals.empty() && Arg.rfind("-", 0) != 0) {
+      Positionals.push_back(Arg);
+    } else {
+      std::string Accepted;
+      for (const Flag *F : Known)
+        Accepted += std::string(F->Name) + ", ";
+      Accepted += "--benchmark_*";
+      if (Positional)
+        Accepted += std::string(", ") + Positional;
+      usageError("unknown argument '" + Arg + "' (accepted: " + Accepted +
+                 ")");
     }
   }
-  return Positional;
+  return Positionals;
 }
 
 /// Named wall-clock sections recorded for the JSON summary.
@@ -301,20 +294,6 @@ inline void writeBenchJson(const char *BenchName) {
     TotalMs += Ms;
   std::fprintf(F, "{\n  \"bench\": \"%s\",\n  \"threads\": %u,\n", BenchName,
                requestedThreads());
-  std::fprintf(F, "  \"tree_algo\": \"%s\",\n",
-               slope::ml::defaultTreeAlgorithm() ==
-                       slope::ml::TreeAlgorithm::Naive
-                   ? "naive"
-                   : "presorted");
-  std::fprintf(F, "  \"nn_algo\": \"%s\",\n",
-               slope::ml::defaultNnAlgorithm() == slope::ml::NnAlgorithm::Naive
-                   ? "naive"
-                   : "batched");
-  std::fprintf(F, "  \"synth_algo\": \"%s\",\n",
-               slope::sim::defaultSynthAlgorithm() ==
-                       slope::sim::SynthAlgorithm::Naive
-                   ? "naive"
-                   : "batched");
   std::fprintf(F, "  \"infer_algo\": \"%s\",\n",
                slope::ml::defaultInferenceAlgorithm() ==
                        slope::ml::InferenceAlgorithm::Quantized
@@ -330,7 +309,6 @@ inline void writeBenchJson(const char *BenchName) {
   // JSON records what executed rather than what was requested.
   std::fprintf(F, "  \"simd\": \"%s\",\n",
                slope::stats::resolvedSimdVariant());
-  std::fprintf(F, "  \"sweep_repeat\": %u,\n", sweepRepeatFlag());
   std::fprintf(F, "  \"profile_repeat\": %u,\n", profileRepeatFlag());
   std::fprintf(F, "  \"sections\": [\n");
   for (size_t I = 0; I < timedSections().size(); ++I) {
@@ -339,20 +317,12 @@ inline void writeBenchJson(const char *BenchName) {
                  Ms, I + 1 < timedSections().size() ? "," : "");
   }
   std::fprintf(F, "  ],\n");
-  // Phase counters isolate instrumented kernels (e.g. forest tree
-  // training) from the fixed simulator/OOB/evaluation cost that both
-  // growth algorithms share, so CI can gate on the kernel alone.
-  std::fprintf(F, "  \"tree_fit_ms\": %.3f,\n",
-               static_cast<double>(
-                   slope::phaseTotalNs(slope::Phase::ForestTreeFit)) /
-                   1e6);
-  std::fprintf(F, "  \"nn_fit_ms\": %.3f,\n",
-               static_cast<double>(slope::phaseTotalNs(slope::Phase::NnFit)) /
-                   1e6);
+  // Phase counters isolate instrumented kernels from the fixed setup and
+  // evaluation work around them, so CI can gate on the kernel alone.
   // profile_ms is charged at campaign level on the calling thread (wall
   // clock), so a parallel campaign reports a smaller number — the CI
   // speedup gate compares exactly this. synth_ms is summed across all
-  // threads' readCountersBatch scopes (kernel CPU time).
+  // threads' readCounters scopes (kernel CPU time).
   std::fprintf(F, "  \"profile_ms\": %.3f,\n",
                static_cast<double>(slope::phaseTotalNs(slope::Phase::Profile)) /
                    1e6);

@@ -15,38 +15,34 @@
 
 #include "BenchCommon.h"
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace slope;
 using namespace slope::core;
 
 int main(int Argc, char **Argv) {
-  std::vector<std::string> Rest = bench::parseArgs(Argc, Argv);
-
   // Driver-specific knobs: --bases/--compounds size the per-platform app
   // suites, --epochs/--trees the NN/RF training budgets, --tolerance the
   // additivity threshold the filtered counter sets are built from.
   // Defaults are the full study; CI smoke passes a scaled-down
   // configuration.
   ClassDConfig Config;
-  for (size_t I = 0; I < Rest.size(); ++I) {
-    auto Next = [&](size_t &Out) {
-      if (I + 1 < Rest.size())
-        Out = std::strtoull(Rest[++I].c_str(), nullptr, 10);
-    };
-    size_t Value = 0;
-    if (Rest[I] == "--bases") {
-      Next(Config.NumBaseApps);
-    } else if (Rest[I] == "--compounds") {
-      Next(Config.NumCompounds);
-    } else if (Rest[I] == "--epochs") {
-      Next(Value), Config.NnEpochs = static_cast<unsigned>(Value);
-    } else if (Rest[I] == "--trees") {
-      Next(Config.RfTrees);
-    } else if (Rest[I] == "--tolerance" && I + 1 < Rest.size()) {
-      Config.Additivity.TolerancePct = std::strtod(Rest[++I].c_str(), nullptr);
-    }
-  }
+  bench::parseArgs(
+      Argc, Argv,
+      {bench::countFlag("--bases", Config.NumBaseApps),
+       bench::countFlag("--compounds", Config.NumCompounds),
+       bench::countFlag("--epochs", Config.NnEpochs),
+       bench::countFlag("--trees", Config.RfTrees),
+       {"--tolerance", "a finite percentage above 0",
+        [&](const std::string &V) {
+          char *End = nullptr;
+          double &Tolerance = Config.Additivity.TolerancePct;
+          Tolerance = std::strtod(V.c_str(), &End);
+          return !V.empty() && *End == '\0' && std::isfinite(Tolerance) &&
+                 Tolerance > 0;
+        }}});
 
   bench::banner("Class D: cross-architecture transfer over the platform zoo");
 

@@ -26,7 +26,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <optional>
 
 using namespace slope;
@@ -57,13 +56,12 @@ std::optional<ModelFamily> parseFamily(const std::string &Name) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::vector<std::string> Rest = bench::parseArgs(Argc, Argv);
-
   // Driver-specific knobs (defaults are the CI gate's configuration).
   ServingConfig Config;
   size_t Observations = 1000000, TenantCount = 10000, NumApps = 12;
   size_t TrainApps = 200, Shards = Config.NumShards;
-  std::string Family = "rf";
+  ModelFamily Family = ModelFamily::RF;
+  std::string FamilyName = "rf";
   // --retrain rls|refit|off: online-retrain mode. rls serves and updates
   // an RLS model (O(F^2) per observation); refit serves the same model
   // but re-solves the batch fit over the accumulated history at every
@@ -79,88 +77,47 @@ int main(int Argc, char **Argv) {
   // (so every value fits its field). 0 is refused where the engine would
   // quietly make it 1 (--epoch-size, --batch-size) or where nothing could
   // be served; --shards 0 means one shard per pool thread.
-  const struct {
-    const char *Name;
-    size_t *Out;
-    bool ZeroMeansAuto;
-  } Counts[] = {{"--observations", &Observations, false},
-                {"--tenants", &TenantCount, false},
-                {"--apps", &NumApps, false},
-                {"--train-apps", &TrainApps, false},
-                {"--shards", &Shards, true},
-                {"--epoch-size", &Config.EpochSize, false},
-                {"--batch-size", &Config.BatchSize, false}};
-  // Both exit 2 before the banner, in the shared flags' error format.
-  auto NeedsValue = [](const std::string &Flag, const char *Accepted) {
-    std::fprintf(stderr, "error: %s needs a value (accepted: %s)\n",
-                 Flag.c_str(), Accepted);
-    std::exit(2);
-  };
-  auto Reject = [](const std::string &Flag, const std::string &Value,
-                   const char *Accepted) {
-    std::fprintf(stderr, "error: unknown %s '%s' (accepted: %s)\n",
-                 Flag.c_str(), Value.c_str(), Accepted);
-    std::exit(2);
-  };
-  for (size_t I = 0; I < Rest.size(); ++I) {
-    const std::string &Flag = Rest[I];
-    const bool HasValue = I + 1 < Rest.size();
-    const auto *Count =
-        std::find_if(std::begin(Counts), std::end(Counts),
-                     [&](const auto &C) { return Flag == C.Name; });
-    if (Count != std::end(Counts)) {
-      const char *Accepted = Count->ZeroMeansAuto
-                                 ? "a count; 0 = one shard per pool thread"
-                                 : "a count of at least 1";
-      if (!HasValue)
-        NeedsValue(Flag, Accepted);
-      const long long N = bench::parseCount(Rest[++I]);
-      if (N < (Count->ZeroMeansAuto ? 0 : 1))
-        Reject(Flag, Rest[I], Accepted);
-      *Count->Out = static_cast<size_t>(N);
-    } else if (Flag == "--family" && HasValue) {
-      Family = Rest[++I];
-    } else if (Flag == "--retrain" && HasValue) {
-      Retrain = Rest[++I];
-      RetrainSeen = true;
-    } else if (Flag == "--drift") {
-      const char *Accepted = "a finite number of at least 0";
-      if (!HasValue)
-        NeedsValue(Flag, Accepted);
-      const std::string &Value = Rest[++I];
-      char *End = nullptr;
-      Drift = std::strtod(Value.c_str(), &End);
-      if (Value.empty() || *End != '\0' || !std::isfinite(Drift) ||
-          Drift < 0)
-        Reject(Flag, Value, Accepted);
-    }
-  }
+  bench::parseArgs(
+      Argc, Argv,
+      {bench::countFlag("--observations", Observations),
+       bench::countFlag("--tenants", TenantCount),
+       bench::countFlag("--apps", NumApps),
+       bench::countFlag("--train-apps", TrainApps),
+       bench::countFlag("--shards", Shards, 0,
+                        "a count; 0 = one shard per pool thread"),
+       bench::countFlag("--epoch-size", Config.EpochSize),
+       bench::countFlag("--batch-size", Config.BatchSize),
+       {"--family", "lr, rf, nn, knn",
+        [&](const std::string &V) {
+          const std::optional<ModelFamily> Kind = parseFamily(V);
+          if (Kind) {
+            Family = *Kind;
+            FamilyName = V;
+          }
+          return Kind.has_value();
+        }},
+       {"--retrain", "rls, refit, off",
+        [&](const std::string &V) {
+          Retrain = V;
+          RetrainSeen = true;
+          return V == "rls" || V == "refit" || V == "off";
+        }},
+       {"--drift", "a finite number of at least 0",
+        [&](const std::string &V) {
+          char *End = nullptr;
+          Drift = std::strtod(V.c_str(), &End);
+          return !V.empty() && *End == '\0' && std::isfinite(Drift) &&
+                 Drift >= 0;
+        }}});
   const auto Tenants = static_cast<uint32_t>(TenantCount);
   Config.NumShards = static_cast<unsigned>(Shards);
-  // Unknown values are errors, reported before any set-up or training.
-  const std::optional<ModelFamily> FamilyKind = parseFamily(Family);
-  if (!FamilyKind) {
-    std::fprintf(stderr,
-                 "error: unknown --family '%s' (accepted: lr, rf, nn, knn)\n",
-                 Family.c_str());
-    return 2;
-  }
-  if (Retrain != "rls" && Retrain != "refit" && Retrain != "off") {
-    std::fprintf(stderr,
-                 "error: unknown --retrain '%s' (accepted: rls, refit, off)\n",
-                 Retrain.c_str());
-    return 2;
-  }
   // --infer-algo quantized (or SLOPE_INFER_ALGO=quantized) has an integer
   // kernel for the linear families only (ml/QuantizedModel.h).
   if (ml::defaultInferenceAlgorithm() == ml::InferenceAlgorithm::Quantized &&
-      *FamilyKind != ModelFamily::LR && *FamilyKind != ModelFamily::NN) {
-    std::fprintf(stderr,
-                 "error: quantized inference serves linear models only: "
-                 "unknown --family '%s' (accepted: lr, nn)\n",
-                 Family.c_str());
-    return 2;
-  }
+      Family != ModelFamily::LR && Family != ModelFamily::NN)
+    bench::usageError("quantized inference serves linear models only: "
+                      "unknown --family '" +
+                      FamilyName + "' (accepted: lr, nn)");
   // An explicit --retrain (including "off") opts into label scoring, so
   // `--retrain off` reports the frozen model's staleness_error as the
   // baseline the retrained runs are compared against. Without the flag
@@ -188,7 +145,7 @@ int main(int Argc, char **Argv) {
 
   Expected<OnlineEstimator> Estimator =
       OnlineEstimator::train(M, Meter, pa4Names(), TrainingApps,
-                             *FamilyKind, /*Seed=*/1);
+                             Family, /*Seed=*/1);
   if (!Estimator) {
     std::fprintf(stderr, "error: %s\n",
                  Estimator.error().message().c_str());

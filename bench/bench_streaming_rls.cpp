@@ -211,22 +211,13 @@ void streamingFit(size_t Observations, size_t EpochSize) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  std::vector<std::string> Rest = bench::parseArgs(Argc, Argv);
   size_t Windows = 240;
   size_t Observations = 131072;
   size_t EpochSize = 4096;
-  for (size_t I = 0; I < Rest.size(); ++I) {
-    auto Next = [&](size_t &Out) {
-      if (I + 1 < Rest.size())
-        Out = std::strtoull(Rest[++I].c_str(), nullptr, 10);
-    };
-    if (Rest[I] == "--windows")
-      Next(Windows);
-    else if (Rest[I] == "--observations")
-      Next(Observations);
-    else if (Rest[I] == "--epoch-size")
-      Next(EpochSize);
-  }
+  bench::parseArgs(Argc, Argv,
+                   {bench::countFlag("--windows", Windows),
+                    bench::countFlag("--observations", Observations),
+                    bench::countFlag("--epoch-size", EpochSize)});
 
   bench::banner("Streaming telemetry and online RLS maintenance");
   windowedTelemetry(Windows);

@@ -17,14 +17,17 @@
 
 #include "sim/Platform.h"
 
-#include <algorithm>
 #include <cstdio>
 
 using namespace slope;
 using namespace slope::sim;
 
 int main(int Argc, char **Argv) {
-  std::vector<std::string> Args = bench::parseArgs(Argc, Argv);
+  bool ShowZoo = false;
+  bench::parseArgs(Argc, Argv, {{"--zoo", nullptr, [&](const std::string &) {
+                                   ShowZoo = true;
+                                   return true;
+                                 }}});
   bench::banner("Table 1: platform specifications");
   Platform H = Platform::intelHaswellServer();
   Platform S = Platform::intelSkylakeServer();
@@ -44,7 +47,7 @@ int main(int Argc, char **Argv) {
                   std::to_string(S.buildRegistry().size())});
   std::printf("%s\n", Derived.render().c_str());
 
-  if (std::find(Args.begin(), Args.end(), "--zoo") == Args.end())
+  if (!ShowZoo)
     return 0;
 
   // The Class D platform zoo: same derived quantities for the non-Intel

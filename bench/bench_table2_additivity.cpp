@@ -20,7 +20,8 @@ using namespace slope;
 using namespace slope::core;
 
 int main(int Argc, char **Argv) {
-  std::vector<std::string> Args = bench::parseArgs(Argc, Argv);
+  std::vector<std::string> Args =
+      bench::parseArgs(Argc, Argv, {}, "a results CSV path");
   bench::banner("Table 2: additivity test errors of the selected PMCs");
   // The printed table depends only on the additivity results, so the
   // model sweep is skipped unless the full Class A CSV archive (which

@@ -23,11 +23,9 @@ int main(int Argc, char **Argv) {
   bench::banner("Table 4: RF1..RF6 prediction errors");
   // Only the RF family feeds this table; each sweep variant is seeded by
   // (family, subset), so restricting the sweep leaves every printed row
-  // bit-identical to a full run. --sweep-repeat lets perf gates amplify
-  // the forest-training kernel over the fixed simulator/dataset setup.
+  // bit-identical to a full run.
   ClassAConfig Config = bench::fullClassA();
   Config.Families = ClassAConfig::FamilyRF;
-  Config.SweepRepeat = bench::sweepRepeatFlag();
   ClassAResult Result;
   {
     bench::ScopedTimer Timer("run_class_a_rf");

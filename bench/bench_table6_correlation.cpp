@@ -22,7 +22,8 @@ using namespace slope;
 using namespace slope::core;
 
 int main(int Argc, char **Argv) {
-  std::vector<std::string> Args = bench::parseArgs(Argc, Argv);
+  std::vector<std::string> Args =
+      bench::parseArgs(Argc, Argv, {}, "a results CSV path");
   bench::banner("Table 6: PA/PNA energy correlations");
   ClassBCResult Result;
   {

@@ -27,11 +27,24 @@ using namespace slope::core;
 int main(int Argc, char **Argv) {
   bool Full = false;
   for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "--full") == 0)
+    if (std::strcmp(Argv[I], "--full") == 0) {
       Full = true;
-    else if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 < Argc)
+    } else if (std::strcmp(Argv[I], "--threads") == 0) {
+      // Digits only, at most ThreadPool::MaxThreads: a sign, a suffix or
+      // an oversized count exits 2 before anything runs.
+      const char *Value = I + 1 < Argc ? Argv[++I] : "";
+      const size_t Len = std::strlen(Value);
+      if (Len == 0 || Len > 4 || std::strspn(Value, "0123456789") != Len ||
+          std::strtoul(Value, nullptr, 10) > ThreadPool::MaxThreads) {
+        std::fprintf(stderr,
+                     "error: unknown --threads '%s' (accepted: a count up "
+                     "to %u; 0 = automatic)\n",
+                     Value, ThreadPool::MaxThreads);
+        return 2;
+      }
       ThreadPool::setGlobalThreadCount(
-          static_cast<unsigned>(std::atoi(Argv[++I])));
+          static_cast<unsigned>(std::strtoul(Value, nullptr, 10)));
+    }
   }
 
   ClassAConfig Config;

@@ -8,9 +8,12 @@ JSON_A holds the slow/baseline timing, JSON_B the fast/optimized one; the
 gate passes when value_a / value_b >= MIN_RATIO. KEY selects the value:
 
   * bench-harness JSON (bench/BenchCommon.h writeBenchJson): KEY is a
-    top-level numeric field such as "tree_fit_ms", "serve_ms", "total_ms";
+    top-level numeric field such as "profile_ms", "serve_ms", "total_ms";
   * google-benchmark JSON: KEY is a benchmark name in the "benchmarks"
-    list (e.g. "BM_ForestFitClassA/1") and the value is its "real_time".
+    list (e.g. "BM_ForestFitClassA/1", or an aggregate such as
+    "BM_TreeFit/1_median" from --benchmark_repetitions) and the value is
+    its "real_time". An entry that reports an error (error_occurred) fails
+    the gate instead of being read as a timing.
 
 --key-b reads a different key from JSON_B (defaults to KEY); pass the
 same file twice with --key-b to compare two entries of one
@@ -40,6 +43,10 @@ def load_value(path, key):
         return float(doc[key])
     for bench in doc.get("benchmarks", []):
         if bench.get("name") == key:
+            if bench.get("error_occurred"):
+                raise SystemExit(f"::error::{path}: benchmark {key!r} "
+                                 f"reported an error: "
+                                 f"{bench.get('error_message', '')}")
             return float(bench["real_time"])
     raise SystemExit(f"::error::{path}: no top-level field or benchmark "
                      f"named {key!r}")

@@ -7,8 +7,9 @@ fails, a tolerance check that passes vacuously) would green-light every
 regression at once. These tests pin the gate's contract:
 
   * value lookup in both supported JSON shapes (bench-harness top-level
-    fields and google-benchmark "benchmarks" lists), including the
-    missing-key error;
+    fields and google-benchmark "benchmarks" lists, including the
+    aggregates of a repeated run), the missing-key error, and the failure
+    on an entry that reports an error;
   * the pass/fail ratio decision and the --key-b cross-file key;
   * the --tolerance-json accuracy gate: within-bound pass, out-of-bound
     fail, mismatched key sets, and the no-matching-fields vacuous case.
@@ -76,6 +77,37 @@ class CheckSpeedupTest(unittest.TestCase):
                                   "--key-b", "BM_Fit/0")
         self.assertEqual(code, 0, out)
         self.assertIn("ratio=5.00x", out)
+
+    def test_median_lookup_in_aggregates_only_report(self):
+        # The kernel gates' shape: --benchmark_repetitions with
+        # --benchmark_report_aggregates_only, keyed on the medians.
+        doc = {"benchmarks": []}
+        for arm, median in (("0", 10.0), ("1", 35.0)):
+            for stat, value in (("mean", median + 1), ("median", median),
+                                ("stddev", 0.5), ("cv", 0.05)):
+                doc["benchmarks"].append({
+                    "name": f"BM_Fit/{arm}_{stat}", "run_type": "aggregate",
+                    "aggregate_name": stat, "real_time": value})
+        a = self.write_json("agg.json", doc)
+        code, out = self.run_gate(a, a, "BM_Fit/1_median", 2.0, "unit",
+                                  "--key-b", "BM_Fit/0_median")
+        self.assertEqual(code, 0, out)
+        self.assertIn("ratio=3.50x", out)
+
+    def test_errored_entry_fails(self):
+        # An arm that stops with an error reports it in the JSON; its
+        # real_time is no timing and must not pass the gate.
+        doc = {"benchmarks": [
+            {"name": "BM_Fit/0", "real_time": 10.0},
+            {"name": "BM_Fit/1", "real_time": 50.0, "error_occurred": True,
+             "error_message": "production and reference differ"},
+        ]}
+        a = self.write_json("err.json", doc)
+        code, out = self.run_gate(a, a, "BM_Fit/1", 2.0, "unit",
+                                  "--key-b", "BM_Fit/0")
+        self.assertEqual(code, 1, out)
+        self.assertIn("::error::", out)
+        self.assertIn("reported an error", out)
 
     def test_missing_key_is_an_error(self):
         a = self.write_json("a.json", {"serve_ms": 100.0})

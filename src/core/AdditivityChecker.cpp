@@ -65,11 +65,8 @@ double AdditivityChecker::meanCount(pmc::EventId Id,
                                     unsigned Runs) {
   const std::vector<Execution> &Execs = executionsFor(App, Runs);
   double Sum = 0;
-  for (unsigned I = 0; I < Runs; ++I) {
-    double Count = 0;
-    M.readCountersBatch(&Id, 1, Execs[I], &Count);
-    Sum += Count;
-  }
+  for (unsigned I = 0; I < Runs; ++I)
+    Sum += M.readCounter(Id, Execs[I]);
   return Sum / Runs;
 }
 
@@ -99,7 +96,7 @@ AdditivityChecker::check(pmc::EventId Id,
         CompoundApplication(Base), Config.ReproducibilityRuns);
     std::vector<double> Counts(Config.ReproducibilityRuns);
     for (unsigned I = 0; I < Config.ReproducibilityRuns; ++I)
-      M.readCountersBatch(&Id, 1, Execs[I], &Counts[I]);
+      Counts[I] = M.readCounter(Id, Execs[I]);
     double Mean = stats::mean(Counts);
     if (Mean <= Config.MinMeanCount)
       continue;

@@ -324,39 +324,37 @@ ClassAResult core::runClassA(const ClassAConfig &Config) {
   Result.Rf.resize(Subsets.size());
   Result.Nn.resize(Subsets.size());
   // Each subset's train/test datasets are shared by the three model
-  // families and every sweep pass, so select the columns once per subset
-  // rather than 3 x passes times.
+  // families, so select the columns once per subset rather than three
+  // times.
   std::vector<ml::Dataset> SubTrain(Subsets.size()), SubTest(Subsets.size());
   parallelFor(0, Subsets.size(), 1, [&](size_t I) {
     SubTrain[I] = Train.selectFeatures(Subsets[I]);
     SubTest[I] = Test.selectFeatures(Subsets[I]);
   });
-  unsigned Repeat = std::max(1u, Config.SweepRepeat);
-  for (unsigned Pass = 0; Pass < Repeat; ++Pass)
-    parallelFor(0, Subsets.size() * 3, 1, [&](size_t Task) {
-      size_t I = Task / 3;
-      std::string Index = std::to_string(I + 1);
-      switch (Task % 3) {
-      case 0:
-        if (Config.Families & ClassAConfig::FamilyLR)
-          Result.Lr[I] = evaluateSubset(
-              ModelFamily::LR, "LR" + Index, Subsets[I], SubTrain[I],
-              SubTest[I], Config.Seed + I, Config.NnEpochs, Config.RfTrees);
-        break;
-      case 1:
-        if (Config.Families & ClassAConfig::FamilyRF)
-          Result.Rf[I] = evaluateSubset(
-              ModelFamily::RF, "RF" + Index, Subsets[I], SubTrain[I],
-              SubTest[I], Config.Seed + I, Config.NnEpochs, Config.RfTrees);
-        break;
-      default:
-        if (Config.Families & ClassAConfig::FamilyNN)
-          Result.Nn[I] = evaluateSubset(
-              ModelFamily::NN, "NN" + Index, Subsets[I], SubTrain[I],
-              SubTest[I], Config.Seed + I, Config.NnEpochs, Config.RfTrees);
-        break;
-      }
-    });
+  parallelFor(0, Subsets.size() * 3, 1, [&](size_t Task) {
+    size_t I = Task / 3;
+    std::string Index = std::to_string(I + 1);
+    switch (Task % 3) {
+    case 0:
+      if (Config.Families & ClassAConfig::FamilyLR)
+        Result.Lr[I] = evaluateSubset(
+            ModelFamily::LR, "LR" + Index, Subsets[I], SubTrain[I],
+            SubTest[I], Config.Seed + I, Config.NnEpochs, Config.RfTrees);
+      break;
+    case 1:
+      if (Config.Families & ClassAConfig::FamilyRF)
+        Result.Rf[I] = evaluateSubset(
+            ModelFamily::RF, "RF" + Index, Subsets[I], SubTrain[I],
+            SubTest[I], Config.Seed + I, Config.NnEpochs, Config.RfTrees);
+      break;
+    default:
+      if (Config.Families & ClassAConfig::FamilyNN)
+        Result.Nn[I] = evaluateSubset(
+            ModelFamily::NN, "NN" + Index, Subsets[I], SubTrain[I],
+            SubTest[I], Config.Seed + I, Config.NnEpochs, Config.RfTrees);
+      break;
+    }
+  });
   return Result;
 }
 

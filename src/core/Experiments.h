@@ -62,10 +62,6 @@ struct ClassAConfig {
   /// restricted sweep produces rows bit-identical to a full one; family
   /// benches use this to isolate their kernel.
   unsigned Families = FamilyAll;
-  /// Number of times the model sweep runs (later passes overwrite with
-  /// identical rows). Perf gates raise this so kernel time dominates the
-  /// fixed simulator/dataset setup cost.
-  unsigned SweepRepeat = 1;
 };
 
 /// Class A outcome.

@@ -40,9 +40,8 @@ FleetTrace::synthesize(Machine &M, const std::vector<pmc::EventId> &Events,
   for (size_t A = 0; A < Apps.size(); ++A) {
     std::vector<Execution> Runs = M.runBatch(Apps[A], Protos);
     for (size_t P = 0; P < Protos; ++P) {
-      M.readCountersBatch(Events.data(), Events.size(), Runs[P],
-                          Prototypes.data() +
-                              (A * Protos + P) * Trace.Width);
+      M.readCounters(Events.data(), Events.size(), Runs[P],
+                     Prototypes.data() + (A * Protos + P) * Trace.Width);
       ProtoEnergy[A * Protos + P] = Runs[P].TrueDynamicEnergyJ;
     }
   }

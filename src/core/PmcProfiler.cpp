@@ -75,7 +75,7 @@ PmcProfiler::reduceRuns(const CollectionPlan &Plan,
         EnergySum += Readings[ExecIdx].DynamicEnergyJ;
         TotalSum += Readings[ExecIdx].TotalEnergyJ;
       }
-      M.readCountersBatch(Run.Events.data(), Width, Exec, Scratch.data());
+      M.readCounters(Run.Events.data(), Width, Exec, Scratch.data());
       for (size_t I = 0; I < Width; ++I)
         SlotMean[SlotBase + I] += Scratch[I];
     }

@@ -104,11 +104,11 @@ void ServingEngine::enableOnlineRetrain(ml::RlsLinearRegression &OnlineModel,
   }
 }
 
-void ServingEngine::ingest(uint32_t Tenant, uint32_t App,
+bool ServingEngine::ingest(uint32_t Tenant, uint32_t App,
                            const double *Features) {
   if (Quant) {
-    assert(Tenant < NumTenants && "tenant id out of range");
-    assert(App < NumApps && "app id out of range");
+    if (!admit(Tenant, App))
+      return false;
     // Quantize once at the door and route straight to the owning shard's
     // batch; the rest of the pipeline is integer, and the staged row is
     // half the width of the FP path's.
@@ -119,22 +119,24 @@ void ServingEngine::ingest(uint32_t Tenant, uint32_t App,
       flushShardBatch(S);
     if (++PendingCount >= EpochSize)
       foldEpoch();
-    return;
+    return true;
   }
-  ingest(Tenant, App, Features, std::numeric_limits<double>::quiet_NaN());
+  return ingest(Tenant, App, Features,
+                std::numeric_limits<double>::quiet_NaN());
 }
 
-void ServingEngine::ingest(uint32_t Tenant, uint32_t App,
+bool ServingEngine::ingest(uint32_t Tenant, uint32_t App,
                            const double *Features, double Label) {
-  assert(Tenant < NumTenants && "tenant id out of range");
-  assert(App < NumApps && "app id out of range");
   assert(!Quant && "labeled ingestion requires the FP serving path");
+  if (!admit(Tenant, App))
+    return false;
   PendingTenants.push_back(Tenant);
   PendingApps.push_back(App);
   PendingFeatures.insert(PendingFeatures.end(), Features, Features + Width);
   PendingLabels.push_back(Label);
   if (++PendingCount >= EpochSize)
     foldEpoch();
+  return true;
 }
 
 void ServingEngine::flushShardBatch(Shard &S) {
@@ -355,13 +357,15 @@ void ServingEngine::stageQuantized(const FleetTrace &Trace, size_t Begin,
   // batch, flush in place when it fills.
   for (size_t I = Begin; I < End; ++I) {
     const uint32_t Tenant = Trace.tenant(I);
+    if (!admit(Tenant, Trace.app(I)))
+      continue;
     Shard &S = Shards[TenantShard[Tenant]];
     Quant->quantizeRow(Trace.features(I), S.PendingRows.data() + S.PendingN * Width);
     S.PendingCells[S.PendingN] = TenantLocal[Tenant] * NumApps + Trace.app(I);
     if (++S.PendingN == BatchSize)
       flushShardBatch(S);
+    ++PendingCount;
   }
-  PendingCount += End - Begin;
 }
 
 void ServingEngine::replay(const FleetTrace &Trace) {
@@ -382,13 +386,15 @@ void ServingEngine::replay(const FleetTrace &Trace) {
         // The FP arm of ingest(), minus the per-row call and fold checks;
         // the trace's labels ride along for the retrain fold.
         for (size_t R = I; R < End; ++R) {
+          if (!admit(Trace.tenant(R), Trace.app(R)))
+            continue;
           PendingTenants.push_back(Trace.tenant(R));
           PendingApps.push_back(Trace.app(R));
           const double *X = Trace.features(R);
           PendingFeatures.insert(PendingFeatures.end(), X, X + Width);
           PendingLabels.push_back(Trace.label(R));
+          ++PendingCount;
         }
-        PendingCount += End - I;
       }
     }
     I = End;

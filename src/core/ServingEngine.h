@@ -97,6 +97,9 @@ struct ServingStats {
   uint64_t Epochs = 0;       ///< Folds performed.
   uint64_t Batches = 0;      ///< predictBatch calls issued.
   uint64_t Retrains = 0;     ///< Online-retrain passes performed at folds.
+  /// Observations refused at ingest for a tenant or app id outside the
+  /// fleet; counted as they arrive, never staged or folded.
+  uint64_t Refused = 0;
   /// Sum of |prediction - label| over every labeled observation, with
   /// each epoch's predictions made by the model that epoch was actually
   /// served with (the epoch-start model). This is the staleness measure:
@@ -153,14 +156,18 @@ public:
                            const ml::Dataset *SeedHistory = nullptr);
 
   /// Buffers one observation (\p Features: featureWidth() values); folds
-  /// automatically once EpochSize observations are pending.
-  void ingest(uint32_t Tenant, uint32_t App, const double *Features);
+  /// automatically once EpochSize observations are pending. \returns
+  /// false, and counts the row in ServingStats::Refused without staging
+  /// it, when \p Tenant or \p App is outside the fleet; such a row
+  /// changes no table and does not count toward the epoch.
+  bool ingest(uint32_t Tenant, uint32_t App, const double *Features);
 
   /// Buffers one labeled observation: like ingest(), plus a measured
   /// dynamic-energy target the online-retrain fold learns from (and
   /// scores the serving model against — see ServingStats). Without
-  /// retrain mode the label only feeds the staleness stats.
-  void ingest(uint32_t Tenant, uint32_t App, const double *Features,
+  /// retrain mode the label only feeds the staleness stats. Refuses
+  /// out-of-range ids the same way.
+  bool ingest(uint32_t Tenant, uint32_t App, const double *Features,
               double Label);
 
   /// Flushes pending observations through the shards and folds every
@@ -171,7 +178,8 @@ public:
   /// driver (charged to Phase::Serve, with the staging and fold slices
   /// sub-attributed to Phase::ServeIngest / Phase::ServeFold). In
   /// online-retrain mode the trace's labels ride along, so each fold
-  /// retrains on the epoch just served.
+  /// retrains on the epoch just served. Rows whose tenant or app id is
+  /// outside this engine's fleet are refused as ingest() refuses them.
   void replay(const FleetTrace &Trace);
 
   /// Folded per-tenant dynamic energy (J) / observation count.
@@ -242,6 +250,15 @@ private:
   };
 
   unsigned shardOf(uint32_t Tenant) const { return TenantShard[Tenant]; }
+
+  /// \returns whether (\p Tenant, \p App) is inside the fleet; counts
+  /// the row as refused when it is not.
+  bool admit(uint32_t Tenant, uint32_t App) {
+    if (Tenant < NumTenants && App < NumApps)
+      return true;
+    ++Stats.Refused;
+    return false;
+  }
 
   /// Integer fast path: predictQuantizedMany straight over the shard's
   /// staged int32 batch into its quanta accumulators — no Dataset

@@ -8,8 +8,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 
@@ -17,27 +15,6 @@ using namespace slope;
 using namespace slope::ml;
 
 void (*ml::detail::TreeGrowPhaseProbe)(bool) = nullptr;
-
-namespace {
-TreeAlgorithm initialTreeAlgorithm() {
-  if (const char *Env = std::getenv("SLOPE_TREE_ALGO")) {
-    if (std::string_view(Env) == "naive")
-      return TreeAlgorithm::Naive;
-    if (std::string_view(Env) == "presorted")
-      return TreeAlgorithm::Presorted;
-  }
-  return TreeAlgorithm::Presorted;
-}
-
-TreeAlgorithm GlobalTreeAlgorithm = initialTreeAlgorithm();
-} // namespace
-
-void ml::setDefaultTreeAlgorithm(TreeAlgorithm A) {
-  assert(A != TreeAlgorithm::Default && "the default cannot defer to itself");
-  GlobalTreeAlgorithm = A;
-}
-
-TreeAlgorithm ml::defaultTreeAlgorithm() { return GlobalTreeAlgorithm; }
 
 DatasetPresort::DatasetPresort(const Dataset &Training)
     : NumRows(Training.numRows()), NumFeatures(Training.numFeatures()),
@@ -78,15 +55,7 @@ Expected<bool> DecisionTree::fitRows(const Dataset &Training,
   Nodes.reserve(2 * RowIndices.size() - 1);
   MaxFittedDepth = 0;
 
-  TreeAlgorithm Algo = Options.Algorithm == TreeAlgorithm::Default
-                           ? defaultTreeAlgorithm()
-                           : Options.Algorithm;
-  if (Algo == TreeAlgorithm::Naive) {
-    std::vector<size_t> Indices = RowIndices;
-    grow(Training, Indices, 0);
-  } else {
-    fitPresorted(Training, RowIndices, Master);
-  }
+  fitPresorted(Training, RowIndices, Master);
   Fitted = true;
   return true;
 }
@@ -239,7 +208,7 @@ size_t splitScoreBounds(const double *Prefix, const double *Vals,
 /// The exact variance-reduction score of splitting \p N sorted samples
 /// after position \p J (0-based) with left prefix \p L: total SSE minus
 /// the children's SSE collapses to the weighted sum of squared child
-/// means. The naive sweep computes the same expression.
+/// means. The seed grower's sweep computes the same expression.
 double splitScore(double L, double Total, size_t J, size_t N) {
   double R = Total - L;
   return L * L / static_cast<double>(J + 1) +
@@ -277,8 +246,9 @@ void DecisionTree::fitPresorted(const Dataset &Training,
   // (value, target) carry equal targets, so each node's prefix sweep
   // accumulates targets in a bit-identical order no matter how the ties
   // are broken; stable partitioning preserves the order in every
-  // descendant, which is what makes the algorithms bit-identical. Two
-  // slack entries let the bucket gather below store unconditionally.
+  // descendant, which is what keeps the trees bit-identical to the seed
+  // grower's. Two slack entries let the bucket gather below store
+  // unconditionally.
   const size_t Arrays = F + 1;
   TLS.Order[0].resize(Arrays * P + 2);
   TLS.Order[1].resize(Arrays * P);
@@ -340,7 +310,7 @@ void DecisionTree::fitPresorted(const Dataset &Training,
     }
   }
   // Sample ids in insertion (caller row) order; node means accumulate over
-  // this array so their floating-point order matches the naive recursion.
+  // this array so their floating-point order matches the seed recursion.
   std::iota(Sorted0 + F * P, Sorted0 + Arrays * P, uint32_t{0});
 
   const size_t MaxCand = Options.MaxFeatures != 0 && Options.MaxFeatures < F
@@ -364,7 +334,7 @@ void DecisionTree::fitPresorted(const Dataset &Training,
   std::vector<size_t> &FeatCand = TLS.FeatCand;
 
   // Explicit DFS work stack; left pushed last so nodes are created in the
-  // naive recursion's pre-order and TreeRng draws in the same sequence.
+  // seed recursion's pre-order and TreeRng draws in the same sequence.
   std::vector<WorkItem> &Stack = TLS.Stack;
   Stack.clear();
   Stack.reserve(std::min<size_t>(Options.MaxDepth, P) + 4);
@@ -383,7 +353,6 @@ void DecisionTree::fitPresorted(const Dataset &Training,
     Stack.pop_back();
     int32_t NodeId = static_cast<int32_t>(Nodes.size());
     Nodes.emplace_back(); // within the fitRows reservation: no allocation
-    Nodes[NodeId].Depth = Item.Depth;
     MaxFittedDepth = std::max(MaxFittedDepth, Item.Depth);
     if (Item.Parent >= 0) {
       if (Item.IsLeft)
@@ -404,7 +373,7 @@ void DecisionTree::fitPresorted(const Dataset &Training,
     }
 
     // Candidate feature subset (mtry) for forests; all features otherwise.
-    // The shuffle consumes TreeRng draws exactly like the naive path.
+    // The shuffle consumes TreeRng draws exactly like the seed grower.
     size_t NumCand = F;
     std::iota(FeatCand.begin(), FeatCand.end(), size_t{0});
     if (MaxCand < F) {
@@ -439,7 +408,7 @@ void DecisionTree::fitPresorted(const Dataset &Training,
     }
 
     // Best (feature, position) by the exact score, in candidate order then
-    // ascending position with a strict >, as the naive sweep scans. A
+    // ascending position with a strict >, as the seed sweep scans. A
     // division-free pass bounds every candidate position's score, side by
     // side in candidate order, and finds the first largest bound. The
     // exact score there is a floor the best score cannot fall below, so
@@ -529,114 +498,6 @@ void DecisionTree::fitPresorted(const Dataset &Training,
 
   if (detail::TreeGrowPhaseProbe)
     detail::TreeGrowPhaseProbe(false);
-}
-
-//===----------------------------------------------------------------------===//
-// Naive growth (seed kernel, kept as the reference implementation)
-//===----------------------------------------------------------------------===//
-
-/// Finds the best (feature, threshold) split of \p Indices by sum-of-
-/// squared-error reduction. \returns false if no valid split exists.
-static bool findBestSplit(const Dataset &Training,
-                          const std::vector<size_t> &Indices,
-                          const std::vector<size_t> &Features,
-                          size_t MinSamplesLeaf, size_t &BestFeature,
-                          double &BestThreshold) {
-  double BestScore = -1;
-  bool Found = false;
-
-  std::vector<std::pair<double, double>> Sorted; // (feature value, target)
-  for (size_t F : Features) {
-    const double *Col = Training.column(F);
-    Sorted.clear();
-    Sorted.reserve(Indices.size());
-    for (size_t R : Indices)
-      Sorted.emplace_back(Col[R], Training.target(R));
-    std::sort(Sorted.begin(), Sorted.end());
-
-    // Prefix sums let us evaluate every threshold in one sweep.
-    double TotalSum = 0;
-    for (const auto &[_, Y] : Sorted)
-      TotalSum += Y;
-    double LeftSum = 0;
-    size_t N = Sorted.size();
-    for (size_t I = 0; I + 1 < N; ++I) {
-      LeftSum += Sorted[I].second;
-      // Can't split between equal feature values.
-      if (Sorted[I].first == Sorted[I + 1].first)
-        continue;
-      size_t NL = I + 1, NR = N - NL;
-      if (NL < MinSamplesLeaf || NR < MinSamplesLeaf)
-        continue;
-      double RightSum = TotalSum - LeftSum;
-      // Variance-reduction score: total SSE minus the children's SSE
-      // collapses to the weighted sum of squared child means.
-      double Score = LeftSum * LeftSum / static_cast<double>(NL) +
-                     RightSum * RightSum / static_cast<double>(NR);
-      if (Score > BestScore) {
-        BestScore = Score;
-        BestFeature = F;
-        BestThreshold = 0.5 * (Sorted[I].first + Sorted[I + 1].first);
-        Found = true;
-      }
-    }
-  }
-  return Found;
-}
-
-int32_t DecisionTree::grow(const Dataset &Training,
-                           std::vector<size_t> &Indices, unsigned Depth) {
-  assert(!Indices.empty() && "growing a node over zero rows");
-  int32_t NodeId = static_cast<int32_t>(Nodes.size());
-  Nodes.emplace_back();
-  Nodes[NodeId].Depth = Depth;
-  MaxFittedDepth = std::max(MaxFittedDepth, Depth);
-
-  double Sum = 0;
-  for (size_t R : Indices)
-    Sum += Training.target(R);
-  double Mean = Sum / static_cast<double>(Indices.size());
-  Nodes[NodeId].LeafValue = Mean;
-
-  if (Depth >= Options.MaxDepth || Indices.size() < Options.MinSamplesSplit)
-    return NodeId;
-
-  // Candidate feature subset (mtry) for forests; all features otherwise.
-  std::vector<size_t> Features(Training.numFeatures());
-  std::iota(Features.begin(), Features.end(), size_t{0});
-  if (Options.MaxFeatures != 0 && Options.MaxFeatures < Features.size()) {
-    for (size_t I = Features.size(); I > 1; --I)
-      std::swap(Features[I - 1], Features[TreeRng.below(I)]);
-    Features.resize(Options.MaxFeatures);
-  }
-
-  size_t BestFeature = 0;
-  double BestThreshold = 0;
-  if (!findBestSplit(Training, Indices, Features, Options.MinSamplesLeaf,
-                     BestFeature, BestThreshold))
-    return NodeId;
-
-  std::vector<size_t> LeftIdx, RightIdx;
-  const double *SplitCol = Training.column(BestFeature);
-  for (size_t R : Indices) {
-    if (SplitCol[R] <= BestThreshold)
-      LeftIdx.push_back(R);
-    else
-      RightIdx.push_back(R);
-  }
-  assert(!LeftIdx.empty() && !RightIdx.empty() && "degenerate split");
-
-  // Free the parent's index memory before recursing.
-  Indices.clear();
-  Indices.shrink_to_fit();
-
-  int32_t Left = grow(Training, LeftIdx, Depth + 1);
-  int32_t Right = grow(Training, RightIdx, Depth + 1);
-  Nodes[NodeId].Feature = BestFeature;
-  Nodes[NodeId].Threshold = BestThreshold;
-  Nodes[NodeId].Left = Left;
-  Nodes[NodeId].Right = Right;
-  return NodeId;
 }
 
 //===----------------------------------------------------------------------===//

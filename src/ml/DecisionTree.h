@@ -9,26 +9,22 @@
 /// feature at a time, mean prediction at the leaves. Used standalone and
 /// as the base learner of ml::RandomForest.
 ///
-/// Two training algorithms produce identical trees:
+/// Growth presorts: each feature's sample indices are sorted once per tree
+/// by (value, target) — or derived in linear time from a forest-wide
+/// DatasetPresort — and nodes are grown from an explicit work stack by
+/// stable partitioning of the presorted index arrays into a second set
+/// (the two alternate by depth), so the per-node cost is linear and the
+/// growth loop performs zero heap allocations after the per-tree setup.
+/// Per node, one pass runs the candidates' target prefix sums and the
+/// node's mean sum as interleaved add chains, a division-free pass bounds
+/// every split score, and only positions whose bound can reach the best
+/// score are scored exactly (DecisionTree.cpp proves the bound).
 ///
-///  * Presorted (default): each feature's sample indices are sorted once
-///    per tree by (value, target) — or derived in linear time from a
-///    forest-wide DatasetPresort — and nodes are grown from an explicit
-///    work stack by stable partitioning of the presorted index arrays
-///    into a second set (the two alternate by depth), so the per-node
-///    cost is linear and the growth loop performs zero heap allocations
-///    after the per-tree setup. Per node, one pass runs the
-///    candidates' target prefix sums and the node's mean sum as
-///    interleaved add chains, a division-free pass bounds every split
-///    score, and only positions whose bound can reach the best score are
-///    scored exactly (DecisionTree.cpp proves the bound).
-///  * Naive (the seed implementation, kept as the reference and the
-///    "seed kernel" baseline for perf gates): re-sorts (value, target)
-///    pairs at every node.
-///
-/// The presorted partition keeps every floating-point accumulation in the
-/// same order the naive algorithm uses, so both algorithms produce
-/// bit-identical node structures and predictions for any input.
+/// The seed grower re-sorted the (value, target) pairs at every node. The
+/// partition keeps every floating-point accumulation in that grower's
+/// order, so trees and predictions are bit-identical to its. It lives on
+/// in tests/reference as the oracle the property tests and the CI speedup
+/// gate compare against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,21 +39,6 @@
 
 namespace slope {
 namespace ml {
-
-/// Tree-growth algorithm selection (see file comment).
-enum class TreeAlgorithm {
-  Default,   ///< Use the process-wide default (presorted unless overridden).
-  Presorted, ///< One sort per tree + in-place index partitioning.
-  Naive,     ///< Per-node re-sorting (seed kernel; reference baseline).
-};
-
-/// Overrides the process-wide algorithm used when options say Default.
-/// The initial value honours the SLOPE_TREE_ALGO environment variable
-/// ("naive" or "presorted"); benches expose it as --tree-algo.
-void setDefaultTreeAlgorithm(TreeAlgorithm A);
-
-/// \returns the process-wide default growth algorithm (never Default).
-TreeAlgorithm defaultTreeAlgorithm();
 
 /// Feature orderings of a whole dataset, computed once and shared by every
 /// tree grown on (bootstrap) subsets of its rows. Each feature's rows are
@@ -94,8 +75,6 @@ struct DecisionTreeOptions {
   /// Number of candidate features per split; 0 means "all features"
   /// (plain CART). Random forests set this to mtry.
   size_t MaxFeatures = 0;
-  /// Growth algorithm; Default defers to defaultTreeAlgorithm().
-  TreeAlgorithm Algorithm = TreeAlgorithm::Default;
 };
 
 /// CART regression tree.
@@ -109,8 +88,8 @@ public:
 
   /// Fits on the given subset of \p Training rows (bootstrap support).
   /// \p Master, when non-null, must be a DatasetPresort of \p Training;
-  /// the presorted algorithm then derives each feature's sample ordering
-  /// from it in linear time instead of sorting per tree. Ensembles build
+  /// growth then derives each feature's sample ordering from it in linear
+  /// time instead of sorting per tree. Ensembles build
   /// one DatasetPresort and share it across all their trees.
   Expected<bool> fitRows(const Dataset &Training,
                          const std::vector<size_t> &RowIndices,
@@ -135,23 +114,6 @@ public:
     return MaxFittedDepth;
   }
 
-  /// Read-only view of one node, for structural tests and serialization.
-  struct NodeView {
-    size_t Feature;   ///< Split feature; SIZE_MAX marks a leaf.
-    double Threshold; ///< Go left if x[Feature] <= Threshold.
-    double LeafValue; ///< Mean target over the node's samples.
-    int32_t Left;
-    int32_t Right;
-    unsigned Depth;
-  };
-
-  /// \returns node \p I of the fitted tree (0 is the root).
-  NodeView node(size_t I) const {
-    assert(I < Nodes.size() && "node index out of range");
-    const Node &N = Nodes[I];
-    return {N.Feature, N.Threshold, N.LeafValue, N.Left, N.Right, N.Depth};
-  }
-
 private:
   struct Node {
     /// Split feature; SIZE_MAX marks a leaf.
@@ -160,7 +122,6 @@ private:
     double LeafValue = 0;   ///< Mean target (leaves only).
     int32_t Left = -1;
     int32_t Right = -1;
-    unsigned Depth = 0;
 
     bool isLeaf() const { return Feature == SIZE_MAX; }
   };
@@ -169,11 +130,6 @@ private:
   void fitPresorted(const Dataset &Training,
                     const std::vector<size_t> &RowIndices,
                     const DatasetPresort *Master);
-
-  /// Recursively grows the subtree over \p Indices; \returns its node id.
-  /// (Naive reference algorithm.)
-  int32_t grow(const Dataset &Training, std::vector<size_t> &Indices,
-               unsigned Depth);
 
   DecisionTreeOptions Options;
   Rng TreeRng;

@@ -7,41 +7,17 @@
 #include "ml/NeuralNetwork.h"
 
 #include "stats/Matrix.h"
-#include "support/PhaseTimers.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
-#include <string_view>
 
 using namespace slope;
 using namespace slope::ml;
 
 void (*ml::detail::NnFitPhaseProbe)(bool) = nullptr;
-
-namespace {
-NnAlgorithm initialNnAlgorithm() {
-  if (const char *Env = std::getenv("SLOPE_NN_ALGO")) {
-    if (std::string_view(Env) == "naive")
-      return NnAlgorithm::Naive;
-    if (std::string_view(Env) == "batched")
-      return NnAlgorithm::Batched;
-  }
-  return NnAlgorithm::Batched;
-}
-
-NnAlgorithm GlobalNnAlgorithm = initialNnAlgorithm();
-} // namespace
-
-void ml::setDefaultNnAlgorithm(NnAlgorithm A) {
-  assert(A != NnAlgorithm::Default && "the default cannot defer to itself");
-  GlobalNnAlgorithm = A;
-}
-
-NnAlgorithm ml::defaultNnAlgorithm() { return GlobalNnAlgorithm; }
 
 const char *ml::activationName(Activation A) {
   switch (A) {
@@ -126,74 +102,6 @@ void NeuralNetwork::applyAdamUpdate(
   }
 }
 
-void NeuralNetwork::fitNaive(const double *Xs, const std::vector<double> &Ys,
-                             Rng &NetRng, size_t N, size_t D) {
-  size_t BatchSize = std::min(Options.BatchSize, N);
-  assert(BatchSize > 0 && "batch size must be positive");
-  std::vector<size_t> Order(N);
-  std::iota(Order.begin(), Order.end(), size_t{0});
-
-  std::vector<std::vector<double>> Acts;
-  // Per-layer gradient accumulators.
-  std::vector<std::vector<double>> GradW(Layers.size()), GradB(Layers.size());
-  uint64_t AdamStep = 0;
-
-  for (unsigned Epoch = 0; Epoch < Options.Epochs; ++Epoch) {
-    for (size_t I = N; I > 1; --I)
-      std::swap(Order[I - 1], Order[NetRng.below(I)]);
-
-    double EpochLoss = 0;
-    for (size_t Start = 0; Start < N; Start += BatchSize) {
-      size_t End = std::min(Start + BatchSize, N);
-      double InvBatch = 1.0 / static_cast<double>(End - Start);
-      for (size_t L = 0; L < Layers.size(); ++L) {
-        GradW[L].assign(Layers[L].Weights.size(), 0.0);
-        GradB[L].assign(Layers[L].OutDim, 0.0);
-      }
-
-      for (size_t P = Start; P < End; ++P) {
-        size_t R = Order[P];
-        forward(Xs + R * D, Acts);
-        double Pred = Acts.back()[0];
-        double Err = Pred - Ys[R];
-        EpochLoss += Err * Err;
-
-        // Backpropagate dLoss/dPreAct layer by layer.
-        std::vector<double> Delta(1, 2 * Err * InvBatch);
-        for (size_t Lp1 = Layers.size(); Lp1 > 0; --Lp1) {
-          size_t L = Lp1 - 1;
-          Layer &Lay = Layers[L];
-          bool IsOutput = (L + 1 == Layers.size());
-          // Delta currently holds dLoss/dAct of layer L's output; convert
-          // to dLoss/dPreAct (output layer is linear).
-          if (!IsOutput)
-            for (size_t O = 0; O < Lay.OutDim; ++O)
-              Delta[O] *= transferDerivative(Acts[L + 1][O]);
-          for (size_t O = 0; O < Lay.OutDim; ++O) {
-            GradB[L][O] += Delta[O];
-            double *GRow = &GradW[L][O * Lay.InDim];
-            for (size_t In = 0; In < Lay.InDim; ++In)
-              GRow[In] += Delta[O] * Acts[L][In];
-          }
-          if (L == 0)
-            break;
-          std::vector<double> Prev(Lay.InDim, 0.0);
-          for (size_t O = 0; O < Lay.OutDim; ++O) {
-            const double *WRow = &Lay.Weights[O * Lay.InDim];
-            for (size_t In = 0; In < Lay.InDim; ++In)
-              Prev[In] += WRow[In] * Delta[O];
-          }
-          Delta = std::move(Prev);
-        }
-      }
-
-      ++AdamStep;
-      applyAdamUpdate(GradW, GradB, AdamStep);
-    }
-    FinalLoss = EpochLoss / static_cast<double>(N);
-  }
-}
-
 void NeuralNetwork::fitBatched(const double *Xs, const std::vector<double> &Ys,
                                Rng &NetRng, size_t N, size_t D) {
   size_t BatchSize = std::min(Options.BatchSize, N);
@@ -252,7 +160,7 @@ void NeuralNetwork::fitBatched(const double *Xs, const std::vector<double> &Ys,
       // plain GEMM per layer — Weights (OutDim x InDim) times the
       // sample-major activations (InDim x B) — accumulating the weighted
       // inputs onto the bias in ascending input order, exactly the
-      // per-sample kernel's accumulation. The transfer is applied in a
+      // seed per-sample trainer's accumulation. The transfer is applied in a
       // fused pass (the output layer stays linear, and Identity is
       // skipped because it is, well, the identity).
       for (size_t L = 0; L < NumLayers; ++L) {
@@ -268,7 +176,7 @@ void NeuralNetwork::fitBatched(const double *Xs, const std::vector<double> &Ys,
       }
 
       // Loss and the output-layer delta, in ascending sample order (the
-      // same order the per-sample loop adds its loss terms).
+      // same order the seed per-sample loop adds its loss terms).
       const double *Pred = Acts[NumLayers].data(); // 1 x B
       double *DOut = Deltas[NumLayers - 1].data();
       for (size_t S = 0; S < B; ++S) {
@@ -310,7 +218,7 @@ void NeuralNetwork::fitBatched(const double *Xs, const std::vector<double> &Ys,
           break;
         // Prev (InDim x B) = Weights^T (InDim x OutDim) x DeltaL: each
         // element accumulates its outputs in ascending order, as the
-        // per-sample loop does.
+        // seed per-sample loop does.
         std::fill(Deltas[L - 1].begin(),
                   Deltas[L - 1].begin() +
                       static_cast<std::ptrdiff_t>(Lay.InDim * B),
@@ -410,16 +318,7 @@ Expected<bool> NeuralNetwork::fit(const Dataset &Training) {
     Layers.push_back(std::move(Lay));
   }
 
-  NnAlgorithm Algo = Options.Algorithm == NnAlgorithm::Default
-                         ? defaultNnAlgorithm()
-                         : Options.Algorithm;
-  {
-    ScopedPhase Timer(Phase::NnFit);
-    if (Algo == NnAlgorithm::Naive)
-      fitNaive(Xs.data(), Ys, NetRng, N, D);
-    else
-      fitBatched(Xs.data(), Ys, NetRng, N, D);
-  }
+  fitBatched(Xs.data(), Ys, NetRng, N, D);
 
   Fitted = true;
   return true;

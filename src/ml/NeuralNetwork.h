@@ -12,24 +12,20 @@
 /// for the ablation bench. Inputs and the target are standardized
 /// internally, and predictions are mapped back to the original scale.
 ///
-/// Two training kernels produce identical networks:
-///
-///  * Batched (default): each minibatch runs as per-layer matrix kernels
-///    over flat activation buffers — forward is one bias-seeded GEMM per
-///    layer with a fused activation pass, and backprop computes every
-///    weight gradient as one GEMM per layer instead of per-sample outer
-///    products. All epoch-loop scratch lives in a preallocated per-fit
-///    arena, so the epoch loop performs zero heap allocations after
-///    setup.
-///  * Naive (the seed implementation, kept as the reference and the
-///    baseline for perf gates): per-sample forward/backprop with
-///    per-sample scratch vectors.
+/// Each minibatch runs as per-layer matrix kernels over flat activation
+/// buffers: forward is one bias-seeded GEMM per layer with a fused
+/// activation pass, and backprop computes every weight gradient as one
+/// GEMM per layer instead of per-sample outer products. All epoch-loop
+/// scratch lives in a preallocated per-fit arena, so the epoch loop
+/// performs zero heap allocations after setup.
 ///
 /// Every GEMM accumulates each output element's contraction terms in
 /// ascending index order, and gradient accumulators see their minibatch
-/// samples in ascending sample order — exactly the order the per-sample
-/// reference uses — so both kernels produce bit-identical weights, loss
-/// curves, and predictions for any input, at any thread count.
+/// samples in ascending sample order — exactly the order the seed
+/// per-sample trainer uses — so the weights, loss curves and predictions
+/// are bit-identical to its, for any input, at any thread count. The
+/// seed trainer lives on in tests/reference as the oracle the property
+/// tests and the CI speedup gate compare against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,21 +48,6 @@ enum class Activation {
 /// \returns a short printable name for \p A.
 const char *activationName(Activation A);
 
-/// Training-kernel selection (see file comment).
-enum class NnAlgorithm {
-  Default, ///< Use the process-wide default (batched unless overridden).
-  Batched, ///< Minibatch GEMM kernels over a preallocated arena.
-  Naive,   ///< Per-sample forward/backprop (seed kernel; reference).
-};
-
-/// Overrides the process-wide kernel used when options say Default.
-/// The initial value honours the SLOPE_NN_ALGO environment variable
-/// ("naive" or "batched"); benches expose it as --nn-algo.
-void setDefaultNnAlgorithm(NnAlgorithm A);
-
-/// \returns the process-wide default training kernel (never Default).
-NnAlgorithm defaultNnAlgorithm();
-
 /// Hyper-parameters of the MLP.
 struct NeuralNetworkOptions {
   std::vector<size_t> HiddenLayers = {16};
@@ -76,8 +57,6 @@ struct NeuralNetworkOptions {
   double LearningRate = 1e-2;
   double L2 = 1e-5;
   uint64_t Seed = 0xAE77;
-  /// Training kernel; Default defers to defaultNnAlgorithm().
-  NnAlgorithm Algorithm = NnAlgorithm::Default;
 };
 
 /// Multilayer perceptron regressor.
@@ -117,16 +96,11 @@ private:
   void forward(const double *Input,
                std::vector<std::vector<double>> &Acts) const;
 
-  /// Per-sample reference kernel (the seed epoch loop).
-  void fitNaive(const double *Xs, const std::vector<double> &Ys,
-                Rng &NetRng, size_t N, size_t D);
-
   /// Minibatch GEMM kernel over a preallocated arena (see file comment).
   void fitBatched(const double *Xs, const std::vector<double> &Ys,
                   Rng &NetRng, size_t N, size_t D);
 
-  /// One Adam update from the accumulated minibatch gradients; shared by
-  /// both kernels so their parameter updates cannot drift apart.
+  /// One Adam update from the accumulated minibatch gradients.
   void applyAdamUpdate(const std::vector<std::vector<double>> &GradW,
                        const std::vector<std::vector<double>> &GradB,
                        uint64_t AdamStep);

@@ -60,10 +60,9 @@
 namespace slope {
 namespace ml {
 
-/// Inference-kernel selection, following the --tree-algo/--nn-algo house
-/// pattern. Unlike those bit-neutral switches this one changes numerics
-/// (within the documented error bound), so the paper-table drivers keep
-/// their FP default and the serving gate compares the two sides.
+/// Inference-kernel selection. It changes numerics (within the documented
+/// error bound), so it stays a runtime choice: the paper-table drivers
+/// keep their FP default and the serving gate compares the two sides.
 enum class InferenceAlgorithm {
   Fp,        ///< The fitted FP model as-is (reference; default).
   Quantized, ///< Fixed-point twin built by QuantizedModel::build.

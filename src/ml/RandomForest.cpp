@@ -6,11 +6,9 @@
 
 #include "ml/RandomForest.h"
 
-#include "support/PhaseTimers.h"
 #include "support/ThreadPool.h"
 
 #include <cmath>
-#include <memory>
 
 using namespace slope;
 using namespace slope::ml;
@@ -38,14 +36,8 @@ Expected<bool> RandomForest::fit(const Dataset &Training) {
   // order — and hence every result bit — identical to a serial fit.
   // All trees share one forest-wide presort of the training rows; each
   // tree derives its bootstrap sample's per-feature orderings from it in
-  // linear time (see DatasetPresort). Skipped when the resolved algorithm
-  // is the naive reference, which never reads it.
-  TreeAlgorithm Algo = Options.Tree.Algorithm == TreeAlgorithm::Default
-                           ? defaultTreeAlgorithm()
-                           : Options.Tree.Algorithm;
-  std::unique_ptr<DatasetPresort> Master;
-  if (Algo != TreeAlgorithm::Naive)
-    Master = std::make_unique<DatasetPresort>(Training);
+  // linear time (see DatasetPresort).
+  const DatasetPresort Master(Training);
 
   Rng ForestRng(Options.Seed);
   const size_t N = Training.numRows(), NumFeat = Training.numFeatures();
@@ -77,12 +69,7 @@ Expected<bool> RandomForest::fit(const Dataset &Training) {
     DecisionTreeOptions TreeOptions = Options.Tree;
     TreeOptions.MaxFeatures = Mtry;
     DecisionTree Tree(TreeOptions, TreeRng.fork("splits"));
-    Expected<bool> Fit = [&] {
-      // Charged to the tree-fit phase so perf gates can compare growth
-      // kernels without the bootstrap/OOB work that both algorithms share.
-      ScopedPhase Timer(Phase::ForestTreeFit);
-      return Tree.fitRows(Training, Bootstrap, Master.get());
-    }();
+    Expected<bool> Fit = Tree.fitRows(Training, Bootstrap, &Master);
     if (!Fit) {
       FitErrors[T] = Fit.error().message();
       return;

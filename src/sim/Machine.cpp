@@ -13,32 +13,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
-#include <string_view>
 
 using namespace slope;
 using namespace slope::pmc;
 using namespace slope::sim;
-
-namespace {
-SynthAlgorithm initialSynthAlgorithm() {
-  if (const char *Env = std::getenv("SLOPE_SYNTH_ALGO")) {
-    if (std::string_view(Env) == "naive")
-      return SynthAlgorithm::Naive;
-    if (std::string_view(Env) == "batched")
-      return SynthAlgorithm::Batched;
-  }
-  return SynthAlgorithm::Batched;
-}
-
-SynthAlgorithm GlobalSynthAlgorithm = initialSynthAlgorithm();
-} // namespace
-
-void sim::setDefaultSynthAlgorithm(SynthAlgorithm A) {
-  GlobalSynthAlgorithm = A;
-}
-
-SynthAlgorithm sim::defaultSynthAlgorithm() { return GlobalSynthAlgorithm; }
 
 ActivityVector Execution::totalActivities() const {
   ActivityVector Total;
@@ -74,7 +52,7 @@ void Machine::buildSynthesisPlan() {
     SynthesisPlan::EventEntry &Entry = Plan.Events[Id];
     Entry.TermBegin = static_cast<uint32_t>(Plan.TermKind.size());
     // Keep the registry's term order: the weighted base sums below must
-    // associate exactly as readCounter's loop over Model.Coeffs does.
+    // associate exactly as the seed formula's loop over Model.Coeffs does.
     for (const ActivityTerm &Term : Model.Coeffs) {
       Plan.TermKind.push_back(static_cast<uint32_t>(Term.Kind));
       Plan.TermWeight.push_back(Term.Weight);
@@ -292,75 +270,31 @@ Machine::readCountersWindow(const std::vector<EventId> &Ids,
 }
 
 double Machine::readCounter(EventId Id, const Execution &Exec) const {
-  assert(!Exec.Phases.empty() && "reading a counter without an execution");
-  const SynthesisModel &Model = Registry.event(Id).Model;
-
-  // The counter's observation noise is a pure function of (run, event):
-  // reading the same counter twice against one run gives one value.
-  Rng EventRng = Rng(Exec.RunSeed).fork(static_cast<uint64_t>(Id) + 1);
-
-  double BaseTotal = 0;
-  double ContextSum = 0;
-  for (const ExecutionPhase &Phase : Exec.Phases) {
-    double Base = 0;
-    for (const ActivityTerm &Term : Model.Coeffs)
-      Base += Term.Weight * Phase.Activities[Term.Kind];
-    BaseTotal += Base;
-    ContextSum +=
-        Base * std::max(Phase.ContextIntensity, Model.IntensityFloor);
-  }
-
-  double Boundaries = static_cast<double>(Exec.Phases.size()) - 1.0;
-  double Context = Model.NaFraction * ContextSum *
-                   (1.0 + Model.NaBoundaryBeta * Boundaries) *
-                   EventRng.lognormalFactor(Model.NaJitterSigma);
-
-  double Floor = Model.ContextFloor;
-  if (Floor > 0)
-    Floor *= EventRng.lognormalFactor(Model.NoiseSigma);
-
-  double Count = (BaseTotal + Context + Floor) *
-                 EventRng.lognormalFactor(Model.NoiseSigma);
-  return std::max(Count, 0.0);
+  double Count;
+  readCounters(&Id, 1, Exec, &Count);
+  return Count;
 }
 
-std::vector<double>
-Machine::readCounters(const std::vector<EventId> &Ids,
-                      const Execution &Exec) const {
-  std::vector<double> Counts;
-  Counts.reserve(Ids.size());
-  for (EventId Id : Ids)
-    Counts.push_back(readCounter(Id, Exec));
-  return Counts;
-}
-
-std::vector<double>
-Machine::readCountersBatch(const std::vector<EventId> &Ids,
-                           const Execution &Exec) const {
+std::vector<double> Machine::readCounters(const std::vector<EventId> &Ids,
+                                          const Execution &Exec) const {
   std::vector<double> Counts(Ids.size());
-  readCountersBatch(Ids.data(), Ids.size(), Exec, Counts.data());
+  readCounters(Ids.data(), Ids.size(), Exec, Counts.data());
   return Counts;
 }
 
-void Machine::readCountersBatch(const EventId *Ids, size_t NumIds,
-                                const Execution &Exec, double *Out) const {
+void Machine::readCounters(const EventId *Ids, size_t NumIds,
+                           const Execution &Exec, double *Out) const {
   assert(!Exec.Phases.empty() && "reading counters without an execution");
   ScopedPhase Timer(Phase::Synth);
 
-  if (GlobalSynthAlgorithm == SynthAlgorithm::Naive) {
-    for (size_t I = 0; I < NumIds; ++I)
-      Out[I] = readCounter(Ids[I], Exec);
-    return;
-  }
-
-  // Batched kernel. Everything shared across events is hoisted out of the
-  // event loop: the seed generator (fork() is const, so one Rng serves all
-  // events), the per-phase activity pointers and effective intensities,
-  // and the boundary count. The per-event work then streams the flattened
-  // term table. Order guarantees that make each count bit-identical to
-  // readCounter: terms accumulate in the registry's Coeffs order, phases
-  // accumulate in execution order, and the three RNG draws happen in the
-  // same sequence against the same fork tag.
+  // Everything shared across events is hoisted out of the event loop: the
+  // seed generator (fork() is const, so one Rng serves all events), the
+  // per-phase activity pointers and effective intensities, and the
+  // boundary count. The per-event work then streams the flattened term
+  // table. Order guarantees that make each count bit-identical to the
+  // seed per-event formula: terms accumulate in the registry's Coeffs
+  // order, phases accumulate in execution order, and the three RNG draws
+  // happen in the same sequence against the same fork tag.
   const Rng SeedRng(Exec.RunSeed);
   const size_t NumPhases = Exec.Phases.size();
   const double Boundaries = static_cast<double>(NumPhases) - 1.0;

@@ -12,6 +12,9 @@
 /// deterministic function of (execution run seed, event id), so all the
 /// events collected in one run observe one consistent execution context,
 /// while repeated runs of the same application vary realistically.
+/// Synthesis runs one kernel, readCounters, over a flattened term table;
+/// its counts are bit-identical to the seed per-event formula, which
+/// lives in tests/reference as the oracle the tests compare against.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -85,23 +88,6 @@ struct ExecutionTrace {
   }
 };
 
-/// Selectable counter-synthesis kernel. Both produce bit-identical
-/// counts; the naive kernel is the readable per-event reference, the
-/// batched kernel synthesizes whole event groups per execution through a
-/// flattened copy of the registry's synthesis models.
-enum class SynthAlgorithm {
-  Naive,   ///< Per-event readCounter through the registry (seed kernel).
-  Batched, ///< Blocked pass over a machine-wide flattened term table.
-};
-
-/// Overrides the process-wide synthesis kernel. The initial value honours
-/// the SLOPE_SYNTH_ALGO environment variable ("naive" / "batched") and
-/// defaults to Batched; the --synth-algo driver flag routes here.
-void setDefaultSynthAlgorithm(SynthAlgorithm A);
-
-/// \returns the process-wide synthesis kernel.
-SynthAlgorithm defaultSynthAlgorithm();
-
 /// A simulated platform instance with its event registry and energy model.
 class Machine {
 public:
@@ -166,7 +152,7 @@ public:
   /// observation noise drawn from a fork tagged (window, event) — a pure
   /// function of (RunSeed, W, Id), invariant under the trace's window
   /// count. Summing a counter's deltas over all windows tracks the
-  /// whole-run readCounter() (the reference path) up to sampling noise.
+  /// whole-run readCounter() up to sampling noise.
   void readCountersWindow(const pmc::EventId *Ids, size_t NumIds,
                           const ExecutionTrace &Trace, size_t W,
                           double *Out) const;
@@ -177,31 +163,26 @@ public:
                      const ExecutionTrace &Trace, size_t W) const;
 
   /// Synthesizes the observed count of \p Id for \p Exec (see
-  /// pmc::SynthesisModel for the formula). Deterministic per
-  /// (Exec.RunSeed, Id). This is the reference kernel the batched path
-  /// must match bit for bit.
+  /// pmc::SynthesisModel for the formula): readCounters() for one id.
+  /// Deterministic per (Exec.RunSeed, Id).
   double readCounter(pmc::EventId Id, const Execution &Exec) const;
 
-  /// Reads several counters against one execution. The caller is
-  /// responsible for respecting PMU scheduling constraints (see
-  /// pmc::planCollection); core::PmcProfiler does this.
+  /// Synthesizes every one of \p Ids against \p Exec in one pass. The
+  /// RNG seed state and the execution's per-phase activity vectors are
+  /// hoisted once, and each event streams its slice of a flattened
+  /// machine-wide term table, keeping the registry's term order and the
+  /// phase order — so every count is bit-identical to the seed per-event
+  /// formula over the registry's SynthesisModel (tests/reference keeps it
+  /// as the oracle). The caller is responsible for respecting PMU
+  /// scheduling constraints (see pmc::planCollection); core::PmcProfiler
+  /// does this.
   std::vector<double> readCounters(const std::vector<pmc::EventId> &Ids,
                                    const Execution &Exec) const;
 
-  /// Synthesizes all of \p Ids against \p Exec in one pass, dispatching
-  /// on defaultSynthAlgorithm(). The batched kernel hoists the RNG seed
-  /// state and the execution's per-phase activity vectors once and
-  /// streams a flattened machine-wide weight table, preserving each
-  /// event's term order and phase order — every count is bit-identical
-  /// to readCounter().
-  std::vector<double>
-  readCountersBatch(const std::vector<pmc::EventId> &Ids,
-                    const Execution &Exec) const;
-
-  /// Allocation-free core of readCountersBatch: writes \p NumIds counts
-  /// to \p Out. Hot rep loops reuse one output buffer across calls.
-  void readCountersBatch(const pmc::EventId *Ids, size_t NumIds,
-                         const Execution &Exec, double *Out) const;
+  /// Allocation-free form of readCounters: writes \p NumIds counts to
+  /// \p Out. Hot rep loops reuse one output buffer across calls.
+  void readCounters(const pmc::EventId *Ids, size_t NumIds,
+                    const Execution &Exec, double *Out) const;
 
 private:
   /// Flattened, cache-contiguous copy of every event's SynthesisModel:

@@ -6,9 +6,10 @@
 ///
 /// \file
 /// Explicitly vectorized (AVX2) variants of the numeric hot kernels,
-/// behind runtime CPU dispatch, following the house selectable-algorithm
-/// pattern (--tree-algo / --nn-algo / --synth-algo): the scalar kernels
-/// stay the selectable reference, --simd / SLOPE_SIMD picks the variant.
+/// behind runtime CPU dispatch: the scalar kernels stay the selectable
+/// reference, --simd / SLOPE_SIMD picks the variant. The switch stays
+/// because the K-split variants below are not bit-identical to it, and
+/// non-AVX2 hosts run the scalar kernels.
 ///
 /// The kernels split into two classes with different contracts:
 ///
@@ -58,7 +59,7 @@ enum class SimdMode {
 /// flags. The initial value honours the SLOPE_SIMD environment variable
 /// ("auto", "avx2", "scalar"); benches expose it as --simd. Not
 /// thread-safe against concurrent kernel calls (set it at startup or
-/// between phases, like the other --*-algo switches).
+/// between phases, like the --infer-algo and --fit-algo switches).
 void setDefaultSimdMode(SimdMode M);
 
 /// \returns the process-wide requested SIMD mode (never resolves Auto).

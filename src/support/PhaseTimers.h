@@ -27,14 +27,11 @@ namespace slope {
 /// Instrumented phases. Each names one hot kernel whose cumulative cost a
 /// perf gate wants to see separately from its surrounding workload.
 enum class Phase : unsigned {
-  ForestTreeFit, ///< DecisionTree::fitRows calls made by RandomForest::fit.
-  NnFit,         ///< NeuralNetwork::fit training loops (either kernel).
   Profile,       ///< Profiling campaigns: DatasetBuilder::build and
                  ///< AdditivityChecker::checkAll, timed on the calling
                  ///< thread so the counter reflects wall clock (and thus
                  ///< credits parallel execution), never summed CPU time.
-  Synth,         ///< Machine::readCountersBatch counter synthesis
-                 ///< (either kernel).
+  Synth,         ///< Machine::readCounters counter synthesis.
   Serve,         ///< ServingEngine trace replay (ingest, shard epochs,
                  ///< folds), timed on the calling thread so the counter
                  ///< reflects wall clock and credits the per-shard

@@ -106,13 +106,9 @@ TEST(DatasetBuilder, CountsScaleWithWork) {
 }
 
 namespace {
-/// Restores global pool/kernel configuration on scope exit.
+/// Restores automatic pool sizing on scope exit.
 struct CampaignConfigGuard {
-  sim::SynthAlgorithm Saved = sim::defaultSynthAlgorithm();
-  ~CampaignConfigGuard() {
-    ThreadPool::setGlobalThreadCount(0);
-    sim::setDefaultSynthAlgorithm(Saved);
-  }
+  ~CampaignConfigGuard() { ThreadPool::setGlobalThreadCount(0); }
 };
 
 /// Asserts two datasets are bit-for-bit equal (columns and targets).
@@ -158,18 +154,4 @@ TEST(DatasetBuilder, ParallelBuildMatchesSerialPerAppCampaign) {
     ASSERT_TRUE(bool(Data));
     expectDatasetsIdentical(*Data, Reference);
   }
-}
-
-TEST(DatasetBuilder, SynthesisKernelsProduceIdenticalDatasets) {
-  CampaignConfigGuard Guard;
-  std::vector<ml::Dataset> PerAlgo;
-  for (sim::SynthAlgorithm Algo :
-       {sim::SynthAlgorithm::Naive, sim::SynthAlgorithm::Batched}) {
-    sim::setDefaultSynthAlgorithm(Algo);
-    Rig R(22);
-    auto Data = R.Builder.buildByName(someApps(), pmc::skylakePaNames());
-    ASSERT_TRUE(bool(Data));
-    PerAlgo.push_back(*Data);
-  }
-  expectDatasetsIdentical(PerAlgo[0], PerAlgo[1]);
 }

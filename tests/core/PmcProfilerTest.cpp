@@ -8,6 +8,7 @@
 
 #include "../ml/AllocCounting.h"
 #include "pmc/PlatformEvents.h"
+#include "reference/ReferenceSynth.h"
 
 #include <gtest/gtest.h>
 
@@ -23,16 +24,11 @@ CompoundApplication dgemm() {
   return CompoundApplication(Application(KernelKind::MklDgemm, 10000));
 }
 
-/// Restores the process-wide synthesis kernel on scope exit.
-struct SynthAlgoGuard {
-  SynthAlgorithm Saved = defaultSynthAlgorithm();
-  ~SynthAlgoGuard() { setDefaultSynthAlgorithm(Saved); }
-};
-
 /// The seed-era collection algorithm, kept verbatim as the reference the
 /// batched campaign must reproduce bit for bit: one serial machine run
 /// per (collection run, repetition), the meter read as each run finishes,
-/// per-event counts accumulated through ordered map nodes.
+/// per-event counts read through the seed per-event formula of
+/// tests/reference and accumulated through ordered map nodes.
 ProfileResult referenceCollect(Machine &M, power::HclWattsUp *Meter,
                                const CompoundApplication &App,
                                const std::vector<EventId> &Events,
@@ -54,7 +50,7 @@ ProfileResult referenceCollect(Machine &M, power::HclWattsUp *Meter,
         TotalSum += Reading.TotalEnergyJ;
       }
       for (EventId Id : Run.Events)
-        GroupSum[Id] += M.readCounter(Id, Exec);
+        GroupSum[Id] += reference::readCounter(M, Id, Exec);
     }
     for (EventId Id : Run.Events)
       MeanByEvent[Id] = GroupSum[Id] / Repetitions;
@@ -158,10 +154,8 @@ TEST(PmcProfiler, CountsOrderedLikeRequest) {
 
 TEST(PmcProfiler, BatchedCampaignMatchesSeedEraSerialScan) {
   // Twin rigs with identical seeds: one profiled through the batched
-  // campaign (under both synthesis kernels), one through the seed-era
-  // serial algorithm replicated above. Every count, energy, and time
-  // must agree bit for bit.
-  SynthAlgoGuard Guard;
+  // campaign, one through the seed-era serial algorithm replicated above.
+  // Every count, energy, and time must agree bit for bit.
   std::vector<EventId> Ids;
   {
     Machine Probe(Platform::intelHaswellServer(), 9);
@@ -174,20 +168,16 @@ TEST(PmcProfiler, BatchedCampaignMatchesSeedEraSerialScan) {
   ProfileResult Ref =
       referenceCollect(RefM, &RefMeter, dgemm(), Ids, /*Repetitions=*/3);
 
-  for (SynthAlgorithm Algo :
-       {SynthAlgorithm::Naive, SynthAlgorithm::Batched}) {
-    setDefaultSynthAlgorithm(Algo);
-    Machine M(Platform::intelHaswellServer(), 9);
-    power::HclWattsUp Meter(M, std::make_unique<power::WattsUpProMeter>());
-    PmcProfiler Profiler(M, &Meter);
-    auto Result = Profiler.collect(dgemm(), Ids, /*Repetitions=*/3);
-    ASSERT_TRUE(bool(Result));
-    EXPECT_EQ(Result->RunsUsed, Ref.RunsUsed);
-    EXPECT_EQ(Result->Counts, Ref.Counts);
-    EXPECT_EQ(Result->DynamicEnergyJ, Ref.DynamicEnergyJ);
-    EXPECT_EQ(Result->TotalEnergyJ, Ref.TotalEnergyJ);
-    EXPECT_EQ(Result->TimeSec, Ref.TimeSec);
-  }
+  Machine M(Platform::intelHaswellServer(), 9);
+  power::HclWattsUp Meter(M, std::make_unique<power::WattsUpProMeter>());
+  PmcProfiler Profiler(M, &Meter);
+  auto Result = Profiler.collect(dgemm(), Ids, /*Repetitions=*/3);
+  ASSERT_TRUE(bool(Result));
+  EXPECT_EQ(Result->RunsUsed, Ref.RunsUsed);
+  EXPECT_EQ(Result->Counts, Ref.Counts);
+  EXPECT_EQ(Result->DynamicEnergyJ, Ref.DynamicEnergyJ);
+  EXPECT_EQ(Result->TotalEnergyJ, Ref.TotalEnergyJ);
+  EXPECT_EQ(Result->TimeSec, Ref.TimeSec);
 }
 
 TEST(PmcProfiler, WarmRepLoopDoesNotAllocate) {

@@ -689,3 +689,147 @@ TEST(FleetTrace, DriftScalesLabelsButNeverFeatures) {
   EXPECT_GT(MaxLabelRel, 0.05);
   EXPECT_LT(MaxLabelRel, 0.45);
 }
+
+namespace {
+
+/// \returns \p Clean with a row naming a tenant or app outside the fleet
+/// inserted before every seventh row, cycling through a bad tenant, a bad
+/// app and both (ids at the bound and at UINT32_MAX); \p Injected counts
+/// the inserted rows.
+MiniTrace withHostileIds(const MiniTrace &Clean, size_t &Injected) {
+  const uint32_t BadTenants[] = {Clean.NumTenants, UINT32_MAX};
+  const uint32_t BadApps[] = {Clean.NumApps, UINT32_MAX};
+  MiniTrace Mixed = Clean;
+  Mixed.Tenants.clear();
+  Mixed.Apps.clear();
+  Mixed.Features.clear();
+  Injected = 0;
+  auto Push = [&](uint32_t Tenant, uint32_t App, size_t Row) {
+    Mixed.Tenants.push_back(Tenant);
+    Mixed.Apps.push_back(App);
+    for (size_t F = 0; F < Clean.Width; ++F)
+      Mixed.Features.push_back(Clean.Features[Row * Clean.Width + F]);
+  };
+  for (size_t I = 0; I < Clean.size(); ++I) {
+    if (I % 7 == 0) {
+      const size_t K = I / 7;
+      Push(K % 3 == 1 ? Clean.Tenants[I] : BadTenants[K % 2],
+           K % 3 == 0 ? Clean.Apps[I] : BadApps[K % 2], I);
+      ++Injected;
+    }
+    Push(Clean.Tenants[I], Clean.Apps[I], I);
+  }
+  return Mixed;
+}
+
+/// Requires every tenant and app table entry and the fleet total of \p Got
+/// to equal \p Want's bit for bit.
+void expectSameTables(const ServingEngine &Got, const ServingEngine &Want) {
+  for (uint32_t Tenant = 0; Tenant < Want.numTenants(); ++Tenant) {
+    ASSERT_EQ(Got.tenantEnergy(Tenant), Want.tenantEnergy(Tenant))
+        << "tenant " << Tenant;
+    ASSERT_EQ(Got.tenantObservations(Tenant), Want.tenantObservations(Tenant))
+        << "tenant " << Tenant;
+  }
+  for (uint32_t App = 0; App < Want.numApps(); ++App) {
+    ASSERT_EQ(Got.appEnergy(App), Want.appEnergy(App)) << "app " << App;
+    ASSERT_EQ(Got.appObservations(App), Want.appObservations(App));
+  }
+  ASSERT_EQ(Got.fleetEnergy(), Want.fleetEnergy());
+}
+
+} // namespace
+
+TEST(ServingEngine, RefusesOutOfRangeIdsAtAnyShardAndThreadCount) {
+  // A row naming a tenant or app outside the fleet is refused at ingest on
+  // the FP and the quantized path alike: never staged, counted once in
+  // Refused, and the tables, observation and epoch counts are those of
+  // the trace without it.
+  ThreadCountGuard Guard;
+  SumModel Fp;
+  ml::Dataset Train = miniTrainingSet(3, 0x51);
+  auto Quant = ml::QuantizedModel::build(fittedLr(Train), Train);
+  ASSERT_TRUE(bool(Quant));
+  MiniTrace Clean = makeMiniTrace(3000, 29, 4, 3, 0xBAD1D);
+  size_t Injected = 0;
+  MiniTrace Mixed = withHostileIds(Clean, Injected);
+  ASSERT_GT(Injected, 400u);
+
+  const ml::Model *Models[] = {&Fp, Quant->get()};
+  for (const ml::Model *M : Models)
+    for (unsigned Shards : {1u, 2u, 8u})
+      for (unsigned Threads : {1u, 4u}) {
+        SCOPED_TRACE(M->name() + ", " + std::to_string(Shards) + " shards, " +
+                     std::to_string(Threads) + " threads");
+        ThreadPool::setGlobalThreadCount(Threads);
+        ServingConfig Config;
+        Config.NumShards = Shards;
+        Config.EpochSize = 500;
+        Config.BatchSize = 32;
+        const ServingEngine Want = replayed(*M, Clean, Config);
+        ServingEngine Got(*M, Mixed.Width, Mixed.NumTenants, Mixed.NumApps,
+                          Config);
+        for (size_t I = 0; I < Mixed.size(); ++I) {
+          const bool InFleet = Mixed.Tenants[I] < Mixed.NumTenants &&
+                               Mixed.Apps[I] < Mixed.NumApps;
+          ASSERT_EQ(Got.ingest(Mixed.Tenants[I], Mixed.Apps[I],
+                               Mixed.Features.data() + I * Mixed.Width),
+                    InFleet)
+              << "row " << I;
+        }
+        Got.endEpoch();
+        EXPECT_EQ(Got.stats().Refused, Injected);
+        EXPECT_EQ(Got.stats().Observations, Clean.size());
+        EXPECT_EQ(Got.stats().Epochs, Want.stats().Epochs);
+        expectSameTables(Got, Want);
+      }
+}
+
+TEST(ServingEngine, ReplayRefusesTraceRowsOutsideTheFleet) {
+  // A trace drawn for a larger fleet than the engine serves: replay
+  // refuses its rows outside the engine's fleet exactly as per-row ingest
+  // does, on the FP and the quantized path.
+  ThreadCountGuard Guard;
+  Machine Rig(Platform::intelSkylakeServer(), 43);
+  auto Trace = makeDriftingTrace(Rig, 3000, /*DriftMax=*/0.0);
+  ASSERT_TRUE(bool(Trace));
+  const uint32_t NumTenants = 30, NumApps = 2;
+  size_t Outside = 0;
+  for (size_t I = 0; I < Trace->size(); ++I)
+    Outside += Trace->tenant(I) >= NumTenants || Trace->app(I) >= NumApps;
+  ASSERT_GT(Outside, 0u);
+
+  std::vector<std::string> Names;
+  for (size_t F = 0; F < Trace->width(); ++F)
+    Names.push_back("pmc" + std::to_string(F));
+  ml::Dataset Head(Names);
+  for (size_t I = 0; I < 300; ++I)
+    Head.addRow(Trace->features(I), Trace->label(I));
+  std::unique_ptr<ml::Model> Lr = fittedLr(Head);
+  auto Quant = ml::QuantizedModel::build(fittedLr(Head), Head);
+  ASSERT_TRUE(bool(Quant));
+
+  const ml::Model *Models[] = {Lr.get(), Quant->get()};
+  for (const ml::Model *M : Models)
+    for (unsigned Shards : {1u, 2u, 8u})
+      for (unsigned Threads : {1u, 4u}) {
+        SCOPED_TRACE(M->name() + ", " + std::to_string(Shards) + " shards, " +
+                     std::to_string(Threads) + " threads");
+        ThreadPool::setGlobalThreadCount(Threads);
+        ServingConfig Config;
+        Config.NumShards = Shards;
+        Config.EpochSize = 700;
+        Config.BatchSize = 32;
+        ServingEngine Want(*M, Trace->width(), NumTenants, NumApps, Config);
+        for (size_t I = 0; I < Trace->size(); ++I)
+          Want.ingest(Trace->tenant(I), Trace->app(I), Trace->features(I));
+        Want.endEpoch();
+        ServingEngine Got(*M, Trace->width(), NumTenants, NumApps, Config);
+        Got.replay(*Trace);
+        EXPECT_EQ(Got.stats().Refused, Outside);
+        EXPECT_EQ(Want.stats().Refused, Outside);
+        EXPECT_EQ(Got.stats().Observations, Trace->size() - Outside);
+        EXPECT_EQ(Got.stats().Epochs, Want.stats().Epochs);
+        expectSameTables(Got, Want);
+      }
+}

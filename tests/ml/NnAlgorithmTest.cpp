@@ -1,18 +1,20 @@
-//===- tests/ml/NnAlgorithmTest.cpp - Batched vs naive NN training -------------===//
+//===- tests/ml/NnAlgorithmTest.cpp - Batched vs seed NN training --------------===//
 //
 // Part of SLOPE-PMC++. See DESIGN.md for the system overview.
 //
 //===----------------------------------------------------------------------===//
 //
-// Property tests that the batched GEMM training kernel reproduces the
-// per-sample seed kernel bit for bit — identical loss curves, weights,
-// and predictions across topologies, activations, batch sizes, seeds and
+// Property tests that the batched GEMM trainer reproduces the per-sample
+// seed trainer (tests/reference) bit for bit — identical final losses and
+// predictions across topologies, activations, batch sizes, seeds and
 // thread counts — and that its epoch loop performs zero heap allocations
 // after the per-fit arena setup.
 //
 //===----------------------------------------------------------------------===//
 
 #include "AllocCounting.h"
+
+#include "reference/ReferenceNn.h"
 
 #include "ml/NeuralNetwork.h"
 #include "support/Rng.h"
@@ -45,17 +47,14 @@ Dataset syntheticData(uint64_t Seed, size_t Rows, size_t Cols) {
   return D;
 }
 
-/// Fits one network with each kernel on \p Train (identical options
-/// otherwise) and requires bit-identical training losses and predictions
-/// on \p Test.
-void expectKernelsAgree(NeuralNetworkOptions Options, const Dataset &Train,
-                        const Dataset &Test) {
-  Options.Algorithm = NnAlgorithm::Batched;
+/// Trains the production network and the seed trainer of tests/reference
+/// on \p Train with \p Options and requires bit-identical final training
+/// losses and predictions on \p Test.
+void expectKernelsAgree(const NeuralNetworkOptions &Options,
+                        const Dataset &Train, const Dataset &Test) {
   NeuralNetwork Fast(Options);
   ASSERT_TRUE(bool(Fast.fit(Train)));
-  Options.Algorithm = NnAlgorithm::Naive;
-  NeuralNetwork Reference(Options);
-  ASSERT_TRUE(bool(Reference.fit(Train)));
+  reference::NeuralNetwork Reference(Train, Options);
 
   double FastLoss = Fast.finalTrainingLoss();
   double RefLoss = Reference.finalTrainingLoss();
@@ -63,7 +62,7 @@ void expectKernelsAgree(NeuralNetworkOptions Options, const Dataset &Train,
       << "final loss " << FastLoss << " vs " << RefLoss;
 
   std::vector<double> FastPred = Fast.predictBatch(Test);
-  std::vector<double> RefPred = Reference.predictBatch(Test);
+  std::vector<double> RefPred = Reference.predict(Test);
   ASSERT_EQ(FastPred.size(), RefPred.size());
   for (size_t R = 0; R < FastPred.size(); ++R)
     EXPECT_EQ(std::memcmp(&FastPred[R], &RefPred[R], sizeof(double)), 0)
@@ -117,7 +116,6 @@ TEST(NnAlgorithm, BatchedMatchesNaiveAcrossThreadCounts) {
   Options.Transfer = Activation::ReLU;
   Options.Epochs = 12;
 
-  Options.Algorithm = NnAlgorithm::Batched;
   ThreadPool::setGlobalThreadCount(1);
   NeuralNetwork Serial(Options);
   ASSERT_TRUE(bool(Serial.fit(Train)));
@@ -138,15 +136,6 @@ TEST(NnAlgorithm, BatchedMatchesNaiveAcrossThreadCounts) {
   ThreadPool::setGlobalThreadCount(0); // restore hardware default
 }
 
-TEST(NnAlgorithm, DefaultAlgorithmIsOverridable) {
-  NnAlgorithm Saved = defaultNnAlgorithm();
-  EXPECT_NE(Saved, NnAlgorithm::Default);
-  setDefaultNnAlgorithm(NnAlgorithm::Naive);
-  EXPECT_EQ(defaultNnAlgorithm(), NnAlgorithm::Naive);
-  setDefaultNnAlgorithm(Saved);
-  EXPECT_EQ(defaultNnAlgorithm(), Saved);
-}
-
 TEST(NnAlgorithm, BatchedEpochLoopDoesNotAllocate) {
   Dataset Train = syntheticData(90, 120, 6);
   NeuralNetworkOptions Options;
@@ -154,7 +143,6 @@ TEST(NnAlgorithm, BatchedEpochLoopDoesNotAllocate) {
   Options.Transfer = Activation::Tanh;
   Options.Epochs = 10;
   Options.BatchSize = 32; // does not divide 120: partial batch included
-  Options.Algorithm = NnAlgorithm::Batched;
 
   detail::NnFitPhaseProbe = [](bool Entering) {
     if (Entering)

@@ -1,16 +1,18 @@
-//===- tests/ml/TreeAlgorithmTest.cpp - Presorted vs naive growth --------------===//
+//===- tests/ml/TreeAlgorithmTest.cpp - Presorted vs seed growth ---------------===//
 //
 // Part of SLOPE-PMC++. See DESIGN.md for the system overview.
 //
 //===----------------------------------------------------------------------===//
 //
-// Property tests that the presorted growth algorithm reproduces the naive
-// seed algorithm's trees and forests bit for bit, and that its growth loop
-// performs zero heap allocations after the per-tree setup.
+// Property tests that the presorted grower reproduces the trees and forests
+// of the naive seed grower (tests/reference) bit for bit, and that its
+// growth loop performs zero heap allocations after the per-tree setup.
 //
 //===----------------------------------------------------------------------===//
 
 #include "AllocCounting.h"
+
+#include "reference/ReferenceTree.h"
 
 #include "ml/DecisionTree.h"
 #include "ml/RandomForest.h"
@@ -20,8 +22,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <limits>
+#include <numeric>
 
 using namespace slope;
 using namespace slope::ml;
@@ -50,90 +52,70 @@ Dataset randomDataset(uint64_t Seed, size_t Rows, size_t Cols,
   return D;
 }
 
-/// Requires bit-for-bit identical fitted trees (structure, thresholds,
-/// leaf means, depths).
-void expectIdenticalTrees(const DecisionTree &A, const DecisionTree &B) {
-  ASSERT_EQ(A.numNodes(), B.numNodes());
-  EXPECT_EQ(A.fittedDepth(), B.fittedDepth());
-  for (size_t I = 0; I < A.numNodes(); ++I) {
-    DecisionTree::NodeView NA = A.node(I), NB = B.node(I);
-    EXPECT_EQ(NA.Feature, NB.Feature) << "node " << I;
-    EXPECT_EQ(NA.Left, NB.Left) << "node " << I;
-    EXPECT_EQ(NA.Right, NB.Right) << "node " << I;
-    EXPECT_EQ(NA.Depth, NB.Depth) << "node " << I;
-    EXPECT_EQ(std::memcmp(&NA.Threshold, &NB.Threshold, sizeof(double)), 0)
-        << "node " << I << " threshold " << NA.Threshold << " vs "
-        << NB.Threshold;
-    EXPECT_EQ(std::memcmp(&NA.LeafValue, &NB.LeafValue, sizeof(double)), 0)
-        << "node " << I << " leaf value " << NA.LeafValue << " vs "
-        << NB.LeafValue;
+/// Fits \p Rows of \p D (all rows when empty) with the presorted grower,
+/// from \p Master when given, and requires the flat tree the seed grower
+/// of tests/reference grows from the same options and stream, bit for bit.
+void expectTreeMatchesSeed(const Dataset &D, std::vector<size_t> Rows,
+                           const DecisionTreeOptions &Options, Rng TreeRng,
+                           const DatasetPresort *Master = nullptr) {
+  DecisionTree Fast(Options, TreeRng);
+  if (Rows.empty()) {
+    ASSERT_TRUE(bool(Fast.fit(D)));
+    Rows.resize(D.numRows());
+    std::iota(Rows.begin(), Rows.end(), size_t{0});
+  } else {
+    ASSERT_TRUE(bool(Fast.fitRows(D, Rows, Master)));
   }
+  FlatForest Got, Want;
+  Got.Trees.push_back(Fast.flatten());
+  Want.Trees.push_back(reference::growTree(D, Rows, Options, TreeRng));
+  std::string Where;
+  EXPECT_TRUE(reference::sameForest(Got, Want, Where)) << Where;
+}
+
+/// A bootstrap sample of \p D's rows, with duplicates.
+std::vector<size_t> bootstrapRows(const Dataset &D, uint64_t Seed) {
+  Rng BootRng(Seed);
+  std::vector<size_t> Rows(D.numRows());
+  for (size_t &R : Rows)
+    R = BootRng.below(D.numRows());
+  return Rows;
 }
 
 TEST(TreeAlgorithm, PresortedMatchesNaiveOnRandomDatasets) {
   for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
     Dataset D = randomDataset(Seed, 60, 4, /*Quantize=*/Seed % 2 == 0);
-    DecisionTreeOptions Options;
-    Options.Algorithm = TreeAlgorithm::Presorted;
-    DecisionTree Fast(Options);
-    ASSERT_TRUE(bool(Fast.fit(D)));
-    Options.Algorithm = TreeAlgorithm::Naive;
-    DecisionTree Reference(Options);
-    ASSERT_TRUE(bool(Reference.fit(D)));
-    expectIdenticalTrees(Fast, Reference);
+    expectTreeMatchesSeed(D, {}, DecisionTreeOptions(), Rng(0x7EE5));
   }
 }
 
 TEST(TreeAlgorithm, PresortedMatchesNaiveWithMtryAndBootstrap) {
   for (uint64_t Seed = 11; Seed <= 16; ++Seed) {
     Dataset D = randomDataset(Seed, 80, 6, /*Quantize=*/true);
-    // Bootstrap sample with duplicates, as RandomForest draws it.
-    Rng BootRng(Seed ^ 0xB007);
-    std::vector<size_t> Rows(D.numRows());
-    for (size_t &R : Rows)
-      R = BootRng.below(D.numRows());
-
     DecisionTreeOptions Options;
     Options.MaxFeatures = 2; // mtry: exercises the per-node shuffle RNG.
     Options.MinSamplesLeaf = 1;
     Options.MinSamplesSplit = 2;
     Options.MaxDepth = 12;
-    Options.Algorithm = TreeAlgorithm::Presorted;
-    DecisionTree Fast(Options, Rng(Seed));
-    ASSERT_TRUE(bool(Fast.fitRows(D, Rows)));
-    Options.Algorithm = TreeAlgorithm::Naive;
-    DecisionTree Reference(Options, Rng(Seed));
-    ASSERT_TRUE(bool(Reference.fitRows(D, Rows)));
-    expectIdenticalTrees(Fast, Reference);
+    expectTreeMatchesSeed(D, bootstrapRows(D, Seed ^ 0xB007), Options,
+                          Rng(Seed));
   }
 }
 
 TEST(TreeAlgorithm, SharedPresortMatchesPerTreeSortAndNaive) {
   // The DatasetPresort path (used by RandomForest) orders ties on
   // (value, target) by row instead of by sample id; both orderings must
-  // still grow bit-identical trees.
+  // still grow the seed grower's trees bit for bit.
   for (uint64_t Seed = 21; Seed <= 26; ++Seed) {
     Dataset D = randomDataset(Seed, 90, 5, /*Quantize=*/true);
     DatasetPresort Master(D);
-    Rng BootRng(Seed ^ 0x5EED);
-    std::vector<size_t> Rows(D.numRows());
-    for (size_t &R : Rows)
-      R = BootRng.below(D.numRows());
-
+    std::vector<size_t> Rows = bootstrapRows(D, Seed ^ 0x5EED);
     DecisionTreeOptions Options;
     Options.MaxFeatures = 2;
     Options.MinSamplesLeaf = 1;
     Options.MinSamplesSplit = 2;
-    Options.Algorithm = TreeAlgorithm::Presorted;
-    DecisionTree Shared(Options, Rng(Seed));
-    ASSERT_TRUE(bool(Shared.fitRows(D, Rows, &Master)));
-    DecisionTree PerTree(Options, Rng(Seed));
-    ASSERT_TRUE(bool(PerTree.fitRows(D, Rows)));
-    Options.Algorithm = TreeAlgorithm::Naive;
-    DecisionTree Reference(Options, Rng(Seed));
-    ASSERT_TRUE(bool(Reference.fitRows(D, Rows)));
-    expectIdenticalTrees(Shared, PerTree);
-    expectIdenticalTrees(Shared, Reference);
+    expectTreeMatchesSeed(D, Rows, Options, Rng(Seed), &Master);
+    expectTreeMatchesSeed(D, Rows, Options, Rng(Seed));
   }
 }
 
@@ -143,28 +125,12 @@ TEST(TreeAlgorithm, PresortedMatchesNaiveOnDegenerateData) {
   for (int I = 0; I < 30; ++I)
     D.addRow({static_cast<double>(I % 2), static_cast<double>(I % 3)},
              I % 5 == 0 ? 1.0 : 1.0);
-  DecisionTreeOptions Options;
-  Options.Algorithm = TreeAlgorithm::Presorted;
-  DecisionTree Fast(Options);
-  ASSERT_TRUE(bool(Fast.fit(D)));
-  Options.Algorithm = TreeAlgorithm::Naive;
-  DecisionTree Reference(Options);
-  ASSERT_TRUE(bool(Reference.fit(D)));
-  expectIdenticalTrees(Fast, Reference);
-}
-
-TEST(TreeAlgorithm, DefaultAlgorithmIsOverridable) {
-  TreeAlgorithm Saved = defaultTreeAlgorithm();
-  setDefaultTreeAlgorithm(TreeAlgorithm::Naive);
-  EXPECT_EQ(defaultTreeAlgorithm(), TreeAlgorithm::Naive);
-  setDefaultTreeAlgorithm(Saved);
-  EXPECT_EQ(defaultTreeAlgorithm(), Saved);
+  expectTreeMatchesSeed(D, {}, DecisionTreeOptions(), Rng(0x7EE5));
 }
 
 TEST(TreeAlgorithm, PresortedGrowthLoopDoesNotAllocate) {
   Dataset D = randomDataset(99, 200, 6, /*Quantize=*/true);
   DecisionTreeOptions Options;
-  Options.Algorithm = TreeAlgorithm::Presorted;
   Options.MaxFeatures = 2;
   Options.MinSamplesLeaf = 1;
   Options.MinSamplesSplit = 2;
@@ -243,52 +209,26 @@ Dataset oracleDataset(uint64_t Seed, size_t Rows, size_t Cols, bool Dups,
   return D;
 }
 
-/// Bit equality, with any NaN equal to any NaN.
-bool sameValue(double A, double B) {
-  return (std::isnan(A) && std::isnan(B)) ||
-         std::memcmp(&A, &B, sizeof(double)) == 0;
-}
-
-/// Requires bit-for-bit identical forests: every flat node and depth, the
-/// out-of-bag error and the predictions on \p D.
-void expectIdenticalForests(const RandomForest &A, const RandomForest &B,
-                            const Dataset &D, const std::string &What) {
-  SCOPED_TRACE(What);
-  const FlatForest &FA = A.flat(), &FB = B.flat();
-  ASSERT_EQ(FA.numTrees(), FB.numTrees());
-  for (size_t T = 0; T < FA.numTrees(); ++T) {
-    const FlatTree &TA = FA.Trees[T], &TB = FB.Trees[T];
-    ASSERT_EQ(TA.Depth, TB.Depth) << "tree " << T;
-    ASSERT_EQ(TA.Nodes.size(), TB.Nodes.size()) << "tree " << T;
-    for (size_t I = 0; I < TA.Nodes.size(); ++I) {
-      const FlatNode &NA = TA.Nodes[I], &NB = TB.Nodes[I];
-      ASSERT_TRUE(sameValue(NA.Value, NB.Value) &&
-                  NA.Feature == NB.Feature && NA.Child[0] == NB.Child[0] &&
-                  NA.Child[1] == NB.Child[1])
-          << "tree " << T << " node " << I << ": value " << NA.Value
-          << " vs " << NB.Value << ", feature " << NA.Feature << " vs "
-          << NB.Feature;
-    }
-  }
-  EXPECT_TRUE(sameValue(A.oobMse(), B.oobMse()))
-      << A.oobMse() << " vs " << B.oobMse();
-  std::vector<double> PA = A.predictBatch(D), PB = B.predictBatch(D);
-  for (size_t R = 0; R < PA.size(); ++R)
-    ASSERT_TRUE(sameValue(PA[R], PB[R]))
-        << "row " << R << ": " << PA[R] << " vs " << PB[R];
-}
-
-/// Fits the default (presorted) and the naive forest with \p Options on
-/// \p D and requires them identical.
-void checkForest(const Dataset &D, RandomForestOptions Options,
+/// Fits the forest with \p Options on \p D and requires the oracle
+/// forest of tests/reference: every flat node and depth, the out-of-bag
+/// error and the predictions on \p D, bit for bit.
+void checkForest(const Dataset &D, const RandomForestOptions &Options,
                  const std::string &What) {
-  Options.Tree.Algorithm = TreeAlgorithm::Presorted;
+  SCOPED_TRACE(What);
   RandomForest Fast(Options);
-  ASSERT_TRUE(bool(Fast.fit(D))) << What;
-  Options.Tree.Algorithm = TreeAlgorithm::Naive;
-  RandomForest Reference(Options);
-  ASSERT_TRUE(bool(Reference.fit(D))) << What;
-  expectIdenticalForests(Fast, Reference, D, What);
+  ASSERT_TRUE(bool(Fast.fit(D)));
+  reference::Forest Reference = reference::growForest(D, Options);
+  std::string Where;
+  ASSERT_TRUE(reference::sameForest(Fast.flat(), Reference.Flat, Where))
+      << Where;
+  EXPECT_TRUE(reference::sameValue(Fast.oobMse(), Reference.OobMse))
+      << Fast.oobMse() << " vs " << Reference.OobMse;
+  std::vector<double> PA = Fast.predictBatch(D),
+                      PB = reference::predictForest(Reference.Flat, D);
+  ASSERT_EQ(PA.size(), PB.size());
+  for (size_t R = 0; R < PA.size(); ++R)
+    ASSERT_TRUE(reference::sameValue(PA[R], PB[R]))
+        << "row " << R << ": " << PA[R] << " vs " << PB[R];
 }
 
 /// Restores automatic pool sizing however the test exits.
@@ -362,10 +302,10 @@ TEST(TreeAlgorithm, ForestMatchesNaiveAtEveryScaleAndThreadCount) {
 }
 
 TEST(TreeAlgorithm, ForestOobErrorMatchesAnIndependentRecount) {
-  // Both growth kernels share the forest's out-of-bag pass, so recount it
-  // here anew: each tree's bootstrap redrawn from its forked
-  // stream, each out-of-bag row walked down the flat tree one branch at a
-  // time, the errors summed in the forest's order.
+  // The forest's out-of-bag pass walks each tree's flat form in blocks;
+  // the oracle's recount redraws each tree's bootstrap from its forked
+  // stream and walks each out-of-bag row down the production trees one
+  // branch at a time, summing the errors in the forest's order.
   for (Targets Kind : {Targets::Linear, Targets::Infinite}) {
     Dataset D = oracleDataset(77, 300, 5, /*Dups=*/true, Kind);
     RandomForestOptions Options;
@@ -373,41 +313,13 @@ TEST(TreeAlgorithm, ForestOobErrorMatchesAnIndependentRecount) {
     Options.Seed = 0x00B;
     RandomForest Forest(Options);
     ASSERT_TRUE(bool(Forest.fit(D)));
-
-    const size_t N = D.numRows();
-    std::vector<double> Sum(N, 0.0);
-    std::vector<unsigned> Count(N, 0);
-    Rng ForestRng(Options.Seed);
-    for (size_t T = 0; T < Options.NumTrees; ++T) {
-      Rng TreeRng = ForestRng.fork(T);
-      std::vector<bool> InBag(N, false);
-      for (size_t I = 0; I < N; ++I)
-        InBag[TreeRng.below(N)] = true;
-      const std::vector<FlatNode> &Nodes = Forest.flat().Trees[T].Nodes;
-      for (size_t R = 0; R < N; ++R) {
-        if (InBag[R])
-          continue;
-        const FlatNode *Node = &Nodes[0];
-        while (!Node->isLeaf())
-          Node = &Nodes[D.column(Node->Feature)[R] <= Node->Value
-                            ? Node->Child[0]
-                            : Node->Child[1]];
-        Sum[R] += Node->Value;
-        ++Count[R];
-      }
+    const double Recount = reference::oobMse(Forest.flat(), D, Options.Seed);
+    // Finite targets give a finite error only if some row was out of bag.
+    if (Kind == Targets::Linear) {
+      ASSERT_FALSE(std::isnan(Recount));
     }
-    double SumSq = 0;
-    size_t Counted = 0;
-    for (size_t R = 0; R < N; ++R) {
-      if (Count[R] == 0)
-        continue;
-      double Err = Sum[R] / Count[R] - D.target(R);
-      SumSq += Err * Err;
-      ++Counted;
-    }
-    ASSERT_GT(Counted, 0u);
-    EXPECT_TRUE(sameValue(Forest.oobMse(), SumSq / static_cast<double>(Counted)))
-        << Forest.oobMse() << " vs " << SumSq / static_cast<double>(Counted);
+    EXPECT_TRUE(reference::sameValue(Forest.oobMse(), Recount))
+        << Forest.oobMse() << " vs " << Recount;
   }
 }
 

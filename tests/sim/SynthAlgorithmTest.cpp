@@ -4,16 +4,18 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Property suite for the batched counter-synthesis engine: the batched
-// kernel must reproduce the per-event readCounter reference bit for bit
-// across platforms, phase counts, and event subsets, and the batch run
-// APIs must reproduce a serial sequence of run() calls at any thread
-// count. All comparisons are exact (EXPECT_EQ on doubles), not tolerance
+// Property suite for the counter-synthesis engine: the plan kernel behind
+// Machine::readCounters must reproduce the seed per-event formula
+// (tests/reference) bit for bit across platforms, phase counts, and event
+// subsets, and the batch run APIs must reproduce a serial sequence of
+// run() calls at any thread count. All comparisons are exact (EXPECT_EQ on doubles), not tolerance
 // based — the engine's contract is bit-identity, not approximation.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sim/Machine.h"
+
+#include "reference/ReferenceSynth.h"
 
 #include "pmc/PlatformEvents.h"
 #include "support/ThreadPool.h"
@@ -27,13 +29,6 @@ using namespace slope::pmc;
 using namespace slope::sim;
 
 namespace {
-
-/// Restores the process-wide synthesis kernel on scope exit so a test
-/// that pins one kernel does not leak it into later tests.
-struct SynthAlgoGuard {
-  SynthAlgorithm Saved = defaultSynthAlgorithm();
-  ~SynthAlgoGuard() { setDefaultSynthAlgorithm(Saved); }
-};
 
 /// Restores the global pool configuration on scope exit.
 struct ThreadCountGuard {
@@ -53,35 +48,22 @@ CompoundApplication longCompound(size_t NumPhases) {
 
 void expectBatchedMatchesNaive(Platform P, const CompoundApplication &App,
                                uint64_t Seed) {
-  SynthAlgoGuard Guard;
   Machine M(std::move(P), Seed);
   Execution E = M.run(App);
   std::vector<EventId> Ids = M.registry().allEvents();
 
-  setDefaultSynthAlgorithm(SynthAlgorithm::Batched);
-  std::vector<double> Batched = M.readCountersBatch(Ids, E);
-  setDefaultSynthAlgorithm(SynthAlgorithm::Naive);
-  std::vector<double> Naive = M.readCountersBatch(Ids, E);
-
+  std::vector<double> Batched = M.readCounters(Ids, E);
   ASSERT_EQ(Batched.size(), Ids.size());
   for (size_t I = 0; I < Ids.size(); ++I) {
-    EXPECT_EQ(Batched[I], M.readCounter(Ids[I], E))
+    const double Want = reference::readCounter(M, Ids[I], E);
+    EXPECT_EQ(Batched[I], Want)
         << "batched mismatch for " << M.registry().event(Ids[I]).Name;
-    EXPECT_EQ(Naive[I], M.readCounter(Ids[I], E))
-        << "naive dispatch mismatch for "
-        << M.registry().event(Ids[I]).Name;
+    EXPECT_EQ(M.readCounter(Ids[I], E), Want)
+        << "single-event mismatch for " << M.registry().event(Ids[I]).Name;
   }
 }
 
 } // namespace
-
-TEST(SynthAlgorithm, DefaultIsBatchedAndSelectorRoundTrips) {
-  SynthAlgoGuard Guard;
-  setDefaultSynthAlgorithm(SynthAlgorithm::Naive);
-  EXPECT_EQ(defaultSynthAlgorithm(), SynthAlgorithm::Naive);
-  setDefaultSynthAlgorithm(SynthAlgorithm::Batched);
-  EXPECT_EQ(defaultSynthAlgorithm(), SynthAlgorithm::Batched);
-}
 
 TEST(SynthAlgorithm, BatchedMatchesNaiveOnHaswellBaseApp) {
   expectBatchedMatchesNaive(
@@ -116,8 +98,6 @@ TEST(SynthAlgorithm, BatchedMatchesNaivePastPhaseHoistCapacity) {
 }
 
 TEST(SynthAlgorithm, ArbitrarySubsetsAndOrdersMatch) {
-  SynthAlgoGuard Guard;
-  setDefaultSynthAlgorithm(SynthAlgorithm::Batched);
   Machine M(Platform::intelSkylakeServer(), 106);
   Execution E = M.run(CompoundApplication(
       Application(KernelKind::MklDgemm, 9000),
@@ -131,22 +111,20 @@ TEST(SynthAlgorithm, ArbitrarySubsetsAndOrdersMatch) {
     Subset.push_back(All[I]);
   std::reverse(Subset.begin(), Subset.end());
 
-  std::vector<double> Batch = M.readCountersBatch(Subset, E);
+  std::vector<double> Batch = M.readCounters(Subset, E);
   for (size_t I = 0; I < Subset.size(); ++I)
-    EXPECT_EQ(Batch[I], M.readCounter(Subset[I], E));
+    EXPECT_EQ(Batch[I], reference::readCounter(M, Subset[I], E));
 }
 
 TEST(SynthAlgorithm, SingleEventAndRepeatedReadsAreStable) {
-  SynthAlgoGuard Guard;
-  setDefaultSynthAlgorithm(SynthAlgorithm::Batched);
   Machine M(Platform::intelHaswellServer(), 107);
   Execution E = M.run(Application(KernelKind::Stream, 6e8));
   EventId Id = *M.registry().lookup("UOPS_EXECUTED_CORE");
   double A = 0, B = 0;
-  M.readCountersBatch(&Id, 1, E, &A);
-  M.readCountersBatch(&Id, 1, E, &B);
+  M.readCounters(&Id, 1, E, &A);
+  M.readCounters(&Id, 1, E, &B);
   EXPECT_EQ(A, B);
-  EXPECT_EQ(A, M.readCounter(Id, E));
+  EXPECT_EQ(A, reference::readCounter(M, Id, E));
 }
 
 TEST(SynthAlgorithm, RunWithSeedReproducesRun) {
@@ -213,8 +191,6 @@ TEST(SynthAlgorithm, RunBatchMatchesSerialRunsAtAnyThreadCount) {
 
 TEST(SynthAlgorithm, BatchedCountersIdenticalAcrossThreadCounts) {
   ThreadCountGuard PoolGuard;
-  SynthAlgoGuard AlgoGuard;
-  setDefaultSynthAlgorithm(SynthAlgorithm::Batched);
   std::vector<std::vector<double>> PerThreadCounts;
   for (unsigned Threads : {1u, 2u, 8u}) {
     ThreadPool::setGlobalThreadCount(Threads);
@@ -225,7 +201,7 @@ TEST(SynthAlgorithm, BatchedCountersIdenticalAcrossThreadCounts) {
     std::vector<EventId> Ids = M.registry().allEvents();
     std::vector<double> Counts;
     for (const Execution &E : Execs) {
-      std::vector<double> C = M.readCountersBatch(Ids, E);
+      std::vector<double> C = M.readCounters(Ids, E);
       Counts.insert(Counts.end(), C.begin(), C.end());
     }
     PerThreadCounts.push_back(std::move(Counts));

@@ -16,18 +16,18 @@ namespace {
 
 TEST(PhaseTimers, AccumulatesAndResets) {
   phaseResetAll();
-  EXPECT_EQ(phaseTotalNs(Phase::ForestTreeFit), 0u);
-  phaseAccumulate(Phase::ForestTreeFit, 5);
-  phaseAccumulate(Phase::ForestTreeFit, 7);
-  EXPECT_EQ(phaseTotalNs(Phase::ForestTreeFit), 12u);
+  EXPECT_EQ(phaseTotalNs(Phase::Profile), 0u);
+  phaseAccumulate(Phase::Profile, 5);
+  phaseAccumulate(Phase::Profile, 7);
+  EXPECT_EQ(phaseTotalNs(Phase::Profile), 12u);
   phaseResetAll();
-  EXPECT_EQ(phaseTotalNs(Phase::ForestTreeFit), 0u);
+  EXPECT_EQ(phaseTotalNs(Phase::Profile), 0u);
 }
 
 TEST(PhaseTimers, ScopedPhaseChargesElapsedTime) {
   phaseResetAll();
   {
-    ScopedPhase Timer(Phase::ForestTreeFit);
+    ScopedPhase Timer(Phase::Profile);
     // Do a sliver of work; steady_clock must observe a non-negative span.
     volatile int Sink = 0;
     for (int I = 0; I < 1000; ++I)
@@ -35,9 +35,9 @@ TEST(PhaseTimers, ScopedPhaseChargesElapsedTime) {
   }
   // Elapsed time is platform-dependent; the invariant is that the scope
   // charged something representable and further scopes only add.
-  uint64_t First = phaseTotalNs(Phase::ForestTreeFit);
-  { ScopedPhase Timer(Phase::ForestTreeFit); }
-  EXPECT_GE(phaseTotalNs(Phase::ForestTreeFit), First);
+  uint64_t First = phaseTotalNs(Phase::Profile);
+  { ScopedPhase Timer(Phase::Profile); }
+  EXPECT_GE(phaseTotalNs(Phase::Profile), First);
   phaseResetAll();
 }
 
@@ -47,9 +47,9 @@ TEST(PhaseTimers, ConcurrentAccumulationDoesNotLoseCounts) {
   constexpr uint64_t PerTask = 1000;
   parallelFor(0, Tasks, 1, [](size_t) {
     for (uint64_t I = 0; I < PerTask; ++I)
-      phaseAccumulate(Phase::ForestTreeFit, 1);
+      phaseAccumulate(Phase::Profile, 1);
   });
-  EXPECT_EQ(phaseTotalNs(Phase::ForestTreeFit), Tasks * PerTask);
+  EXPECT_EQ(phaseTotalNs(Phase::Profile), Tasks * PerTask);
   phaseResetAll();
 }
 
