@@ -18,7 +18,6 @@
 #include "core/Experiments.h"
 #include "core/Report.h"
 #include "ml/QuantizedModel.h"
-#include "ml/RlsLinearRegression.h"
 #include "pmc/PlatformEvents.h"
 #include "stats/SimdKernels.h"
 #include "support/PhaseTimers.h"
@@ -114,20 +113,17 @@ bool applyChoice(const std::string &Value,
 /// quantized exists for LR and identity-transfer NNs only (other families
 /// are a build error). It changes numerics within ml/QuantizedModel's
 /// documented error bound, so the CI gate checks speedup and tolerance
-/// together. `--fit-algo rls|refit` (or SLOPE_FIT_ALGO) selects the
-/// online-model maintenance path (O(F^2) Sherman-Morrison updates vs the
-/// O(N*F^2) full-refit reference); like --infer-algo it is
-/// tolerance-gated, not bit-identical — see ml/RlsLinearRegression.h.
-/// `--simd auto|avx2|scalar` (or SLOPE_SIMD) selects the SIMD kernel
-/// variant: auto (the default) enables only the bit-identical
+/// together. `--simd auto|avx2|scalar` (or SLOPE_SIMD) selects the SIMD
+/// kernel variant: auto (the default) enables only the bit-identical
 /// column-parallel AVX2 kernels, avx2 additionally opts into the
 /// reassociating K-split kernels, scalar forces the reference — see
 /// stats/SimdKernels.h. `--bench-json PATH` (or SLOPE_BENCH_JSON) writes a
 /// machine-readable timing summary to PATH without changing anything on
 /// stdout. `--profile-repeat N` repeats the profiling campaign in benches
-/// that support it (extra passes discarded). The bit-identical fast
-/// kernels of tree growth, network training and counter synthesis have
-/// no switch: their seed kernels live in tests/reference as oracles.
+/// that support it (extra passes discarded). Tree growth, network
+/// training and counter synthesis have no switch: their bit-identical
+/// oracles live in tests/reference. The online-retrain algorithm has no
+/// process-wide default either; each serving engine is given its own.
 inline const std::vector<Flag> &sharedFlags() {
   using namespace slope;
   static_assert(ThreadPool::MaxThreads == 1024,
@@ -148,13 +144,6 @@ inline const std::vector<Flag> &sharedFlags() {
              {"fp", ml::InferenceAlgorithm::Fp},
              {"quantized", ml::InferenceAlgorithm::Quantized}};
          return applyChoice(V, C, ml::setDefaultInferenceAlgorithm);
-       }},
-      {"--fit-algo", "rls, refit",
-       [](const std::string &V) {
-         static const std::pair<const char *, ml::FitAlgorithm> C[] = {
-             {"rls", ml::FitAlgorithm::Rls},
-             {"refit", ml::FitAlgorithm::Refit}};
-         return applyChoice(V, C, ml::setDefaultFitAlgorithm);
        }},
       {"--simd", "auto, avx2, scalar",
        [](const std::string &V) {
@@ -299,11 +288,6 @@ inline void writeBenchJson(const char *BenchName) {
                        slope::ml::InferenceAlgorithm::Quantized
                    ? "quantized"
                    : "fp");
-  std::fprintf(F, "  \"fit_algo\": \"%s\",\n",
-               slope::ml::defaultFitAlgorithm() ==
-                       slope::ml::FitAlgorithm::Refit
-                   ? "refit"
-                   : "rls");
   // The *resolved* variant the column-parallel kernels actually ran with
   // on this host (auto resolves to "avx2" or "scalar" here), so archived
   // JSON records what executed rather than what was requested.

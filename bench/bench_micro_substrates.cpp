@@ -8,11 +8,11 @@
 // in the numeric kernels (NNLS, QR, CART, MLP, scheduler, synthesis) are
 // visible. Not a paper table; complements the table-reproduction
 // binaries. The Arg(1) arms of BM_TreeFit, BM_ForestFitClassA, BM_NNFit
-// and BM_ReadCountersBatch run the seed kernels of tests/reference, which
+// and BM_ReadCountersBatch run the oracles of tests/reference, which
 // the production kernels must match bit for bit; CI's kernel speedup
-// gates compare each pair. Under SLOPE_SIMD=avx2 the BM_NNFit Arg(1)
-// arm reports an error instead, since the K-split kernels reassociate the
-// batched trainer's sums.
+// gates compare the tree, forest and NN pairs. Under SLOPE_SIMD=avx2 the
+// BM_NNFit Arg(1) arm reports an error instead, since the K-split kernels
+// reassociate the batched trainer's sums.
 //
 //===----------------------------------------------------------------------===//
 
@@ -403,9 +403,10 @@ void BM_MachineRun(benchmark::State &State) {
 }
 BENCHMARK(BM_MachineRun);
 
-// Whole-registry synthesis: Machine::readCounters' plan kernel, Arg(0),
-// vs the seed per-event formula of tests/reference, Arg(1); both produce
-// bit-identical counts, which the Arg(1) arm checks once before timing.
+// Whole-registry synthesis: Machine::readCounters, Arg(0), vs the
+// per-event oracle of tests/reference, Arg(1), which builds the seed
+// generator once per event; both produce bit-identical counts, which the
+// Arg(1) arm checks once before timing.
 void BM_ReadCountersBatch(benchmark::State &State) {
   sim::Machine M(sim::Platform::intelSkylakeServer(), 8);
   sim::Execution E = M.run(sim::Application(sim::KernelKind::MklFft, 24000));

@@ -179,8 +179,6 @@ int main(int Argc, char **Argv) {
     const ml::FitAlgorithm Algo = Retrain == "refit"
                                       ? ml::FitAlgorithm::Refit
                                       : ml::FitAlgorithm::Rls;
-    // Record the mode under test in the JSON fit_algo field.
-    ml::setDefaultFitAlgorithm(Algo);
     std::vector<std::string> FeatureNames;
     for (size_t F = 0; F < Trace->width(); ++F)
       FeatureNames.push_back("pmc" + std::to_string(F));

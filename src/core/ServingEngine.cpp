@@ -107,7 +107,7 @@ void ServingEngine::enableOnlineRetrain(ml::RlsLinearRegression &OnlineModel,
 bool ServingEngine::ingest(uint32_t Tenant, uint32_t App,
                            const double *Features) {
   if (Quant) {
-    if (!admit(Tenant, App))
+    if (!admit(Tenant, App, Features))
       return false;
     // Quantize once at the door and route straight to the owning shard's
     // batch; the rest of the pipeline is integer, and the staged row is
@@ -128,7 +128,7 @@ bool ServingEngine::ingest(uint32_t Tenant, uint32_t App,
 bool ServingEngine::ingest(uint32_t Tenant, uint32_t App,
                            const double *Features, double Label) {
   assert(!Quant && "labeled ingestion requires the FP serving path");
-  if (!admit(Tenant, App))
+  if (!admit(Tenant, App, Features))
     return false;
   PendingTenants.push_back(Tenant);
   PendingApps.push_back(App);
@@ -357,7 +357,7 @@ void ServingEngine::stageQuantized(const FleetTrace &Trace, size_t Begin,
   // batch, flush in place when it fills.
   for (size_t I = Begin; I < End; ++I) {
     const uint32_t Tenant = Trace.tenant(I);
-    if (!admit(Tenant, Trace.app(I)))
+    if (!admit(Tenant, Trace.app(I), Trace.features(I)))
       continue;
     Shard &S = Shards[TenantShard[Tenant]];
     Quant->quantizeRow(Trace.features(I), S.PendingRows.data() + S.PendingN * Width);
@@ -386,11 +386,11 @@ void ServingEngine::replay(const FleetTrace &Trace) {
         // The FP arm of ingest(), minus the per-row call and fold checks;
         // the trace's labels ride along for the retrain fold.
         for (size_t R = I; R < End; ++R) {
-          if (!admit(Trace.tenant(R), Trace.app(R)))
+          const double *X = Trace.features(R);
+          if (!admit(Trace.tenant(R), Trace.app(R), X))
             continue;
           PendingTenants.push_back(Trace.tenant(R));
           PendingApps.push_back(Trace.app(R));
-          const double *X = Trace.features(R);
           PendingFeatures.insert(PendingFeatures.end(), X, X + Width);
           PendingLabels.push_back(Trace.label(R));
           ++PendingCount;

@@ -63,6 +63,7 @@
 #include "ml/RlsLinearRegression.h"
 #include "support/AlignedBuffer.h"
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -97,8 +98,10 @@ struct ServingStats {
   uint64_t Epochs = 0;       ///< Folds performed.
   uint64_t Batches = 0;      ///< predictBatch calls issued.
   uint64_t Retrains = 0;     ///< Online-retrain passes performed at folds.
-  /// Observations refused at ingest for a tenant or app id outside the
-  /// fleet; counted as they arrive, never staged or folded.
+  /// Observations refused at ingest, for either of two reasons: a tenant
+  /// or app id outside the fleet, or a feature that is not finite (NaN or
+  /// +/-Inf, which would poison an FP cell for good and quantize to a
+  /// saturated value). Counted as they arrive, never staged or folded.
   uint64_t Refused = 0;
   /// Sum of |prediction - label| over every labeled observation, with
   /// each epoch's predictions made by the model that epoch was actually
@@ -152,21 +155,22 @@ public:
   /// over the seed plus every epoch — and the two paths' attributions
   /// agree to solver precision.
   void enableOnlineRetrain(ml::RlsLinearRegression &Online,
-                           ml::FitAlgorithm Algo = ml::defaultFitAlgorithm(),
+                           ml::FitAlgorithm Algo,
                            const ml::Dataset *SeedHistory = nullptr);
 
   /// Buffers one observation (\p Features: featureWidth() values); folds
   /// automatically once EpochSize observations are pending. \returns
   /// false, and counts the row in ServingStats::Refused without staging
-  /// it, when \p Tenant or \p App is outside the fleet; such a row
-  /// changes no table and does not count toward the epoch.
+  /// it, when \p Tenant or \p App is outside the fleet or any feature is
+  /// not finite; such a row changes no table and does not count toward
+  /// the epoch.
   bool ingest(uint32_t Tenant, uint32_t App, const double *Features);
 
   /// Buffers one labeled observation: like ingest(), plus a measured
   /// dynamic-energy target the online-retrain fold learns from (and
   /// scores the serving model against — see ServingStats). Without
-  /// retrain mode the label only feeds the staleness stats. Refuses
-  /// out-of-range ids the same way.
+  /// retrain mode the label only feeds the staleness stats. Refuses rows
+  /// the same way (a NaN label only marks the row unlabeled).
   bool ingest(uint32_t Tenant, uint32_t App, const double *Features,
               double Label);
 
@@ -179,7 +183,8 @@ public:
   /// sub-attributed to Phase::ServeIngest / Phase::ServeFold). In
   /// online-retrain mode the trace's labels ride along, so each fold
   /// retrains on the epoch just served. Rows whose tenant or app id is
-  /// outside this engine's fleet are refused as ingest() refuses them.
+  /// outside this engine's fleet, or whose features are not all finite,
+  /// are refused as ingest() refuses them.
   void replay(const FleetTrace &Trace);
 
   /// Folded per-tenant dynamic energy (J) / observation count.
@@ -251,10 +256,14 @@ private:
 
   unsigned shardOf(uint32_t Tenant) const { return TenantShard[Tenant]; }
 
-  /// \returns whether (\p Tenant, \p App) is inside the fleet; counts
-  /// the row as refused when it is not.
-  bool admit(uint32_t Tenant, uint32_t App) {
-    if (Tenant < NumTenants && App < NumApps)
+  /// \returns whether a row may be staged: (\p Tenant, \p App) inside the
+  /// fleet and all Width of \p Features finite; counts the row as refused
+  /// when it may not.
+  bool admit(uint32_t Tenant, uint32_t App, const double *Features) {
+    bool Finite = true;
+    for (size_t F = 0; F < Width; ++F)
+      Finite &= std::isfinite(Features[F]);
+    if (Finite && Tenant < NumTenants && App < NumApps)
       return true;
     ++Stats.Refused;
     return false;

@@ -8,29 +8,8 @@
 
 #include "stats/Solve.h"
 
-#include <cstdlib>
-#include <string_view>
-
 using namespace slope;
 using namespace slope::ml;
-
-namespace {
-FitAlgorithm initialFitAlgorithm() {
-  if (const char *Env = std::getenv("SLOPE_FIT_ALGO")) {
-    if (std::string_view(Env) == "refit")
-      return FitAlgorithm::Refit;
-    if (std::string_view(Env) == "rls")
-      return FitAlgorithm::Rls;
-  }
-  return FitAlgorithm::Rls;
-}
-
-FitAlgorithm GlobalFitAlgorithm = initialFitAlgorithm();
-} // namespace
-
-void ml::setDefaultFitAlgorithm(FitAlgorithm A) { GlobalFitAlgorithm = A; }
-
-FitAlgorithm ml::defaultFitAlgorithm() { return GlobalFitAlgorithm; }
 
 Expected<bool> RlsLinearRegression::fit(const Dataset &Training) {
   if (Training.numRows() == 0)

@@ -13,13 +13,14 @@
 /// so continuous retraining is epoch-size-independent, the property the
 /// serving engine's online-retrain mode is built on.
 ///
-/// The O(N*F^2) full refit over the accumulated stream stays the
-/// selectable reference (FitAlgorithm, `--fit-algo rls|refit` /
-/// SLOPE_FIT_ALGO). RLS reassociates the Gram accumulation, so the
-/// contract against the reference is a property-tested tolerance (< 1e-8
-/// relative coefficient and prediction error after every stream prefix),
-/// mirroring the AVX2 K-split kernels' contract rather than the
-/// bit-identity contract of the other selectable algorithms.
+/// The O(N*F^2) full refit over the accumulated stream stays as the
+/// reference (FitAlgorithm::Refit, which the serving engine's caller picks
+/// per engine — bench_serving_engine's `--retrain rls|refit`) and as the
+/// baseline of the retrain speedup gate. RLS reassociates the Gram
+/// accumulation, so the contract against the reference is a
+/// property-tested tolerance (< 1e-8 relative coefficient and prediction
+/// error after every stream prefix), mirroring the AVX2 K-split kernels'
+/// contract rather than a bit-identity contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +32,8 @@
 namespace slope {
 namespace ml {
 
-/// Selectable online-model maintenance algorithm. Rls folds each new
+/// Online-model maintenance algorithm, chosen per serving engine
+/// (core::ServingEngine::enableOnlineRetrain). Rls folds each new
 /// observation into the inverse-Gram state in O(F^2); Refit re-solves the
 /// normal equations over the full accumulated history in O(N*F^2) — the
 /// readable reference the property suite scores Rls against.
@@ -39,16 +41,6 @@ enum class FitAlgorithm {
   Refit, ///< Full batch refit over the accumulated stream (reference).
   Rls,   ///< Sherman-Morrison rank-1 updates (fast path).
 };
-
-/// Overrides the process-wide online-fit algorithm. The initial value
-/// honours the SLOPE_FIT_ALGO environment variable ("rls" / "refit") and
-/// defaults to Rls; the --fit-algo driver flag routes here. The offline
-/// table drivers never consult this switch — LinearRegression::fit is
-/// untouched, so the paper tables stay byte-identical under any setting.
-void setDefaultFitAlgorithm(FitAlgorithm A);
-
-/// \returns the process-wide online-fit algorithm.
-FitAlgorithm defaultFitAlgorithm();
 
 /// Configuration of the streaming linear model.
 struct RlsOptions {

@@ -6,7 +6,6 @@
 
 #include "sim/Machine.h"
 
-#include "stats/SimdKernels.h"
 #include "support/PhaseTimers.h"
 #include "support/ThreadPool.h"
 
@@ -34,38 +33,7 @@ double Execution::totalTimeSec() const {
 
 Machine::Machine(Platform P, uint64_t Seed)
     : Plat(std::move(P)), Registry(Plat.buildRegistry()), Energy(Plat),
-      MachineRng(Seed) {
-  buildSynthesisPlan();
-}
-
-void Machine::buildSynthesisPlan() {
-  Plan.Events.resize(Registry.size());
-  size_t NumTerms = 0;
-  for (size_t Id = 0; Id < Registry.size(); ++Id)
-    NumTerms += Registry.event(static_cast<EventId>(Id)).Model.Coeffs.size();
-  Plan.TermKind.reserve(NumTerms);
-  Plan.TermWeight.reserve(NumTerms);
-
-  for (size_t Id = 0; Id < Registry.size(); ++Id) {
-    const SynthesisModel &Model =
-        Registry.event(static_cast<EventId>(Id)).Model;
-    SynthesisPlan::EventEntry &Entry = Plan.Events[Id];
-    Entry.TermBegin = static_cast<uint32_t>(Plan.TermKind.size());
-    // Keep the registry's term order: the weighted base sums below must
-    // associate exactly as the seed formula's loop over Model.Coeffs does.
-    for (const ActivityTerm &Term : Model.Coeffs) {
-      Plan.TermKind.push_back(static_cast<uint32_t>(Term.Kind));
-      Plan.TermWeight.push_back(Term.Weight);
-    }
-    Entry.TermEnd = static_cast<uint32_t>(Plan.TermKind.size());
-    Entry.NaFraction = Model.NaFraction;
-    Entry.NaBoundaryBeta = Model.NaBoundaryBeta;
-    Entry.IntensityFloor = Model.IntensityFloor;
-    Entry.NaJitterSigma = Model.NaJitterSigma;
-    Entry.ContextFloor = Model.ContextFloor;
-    Entry.NoiseSigma = Model.NoiseSigma;
-  }
-}
+      MachineRng(Seed) {}
 
 Execution Machine::runWithSeed(const CompoundApplication &App,
                                uint64_t RunSeed) const {
@@ -147,6 +115,36 @@ namespace {
 /// power telemetry is exactly as trustworthy per sample as the WattsUp
 /// trace the offline pipeline consumes.
 constexpr double TracePowerNoiseSigma = 0.03;
+
+/// \returns the event's count before context and noise over \p Act: the
+/// model's weighted activity sum, accumulated in Coeffs order (summing in
+/// any other order would change the floating-point result).
+double baseCount(const SynthesisModel &Model, const ActivityVector &Act) {
+  double Base = 0;
+  for (const ActivityTerm &Term : Model.Coeffs)
+    Base += Term.Weight * Act[Term.Kind];
+  return Base;
+}
+
+/// The per-event tail of the synthesis formula (pmc::SynthesisModel),
+/// shared by whole-run and windowed reads: the context share of
+/// \p ContextSum inflated per phase boundary, the floor scaled by
+/// \p TimeShare (1 for a whole run), and observation noise. \p EventRng
+/// draws the context jitter, the floor jitter (only when a floor exists)
+/// and the noise, in that order.
+double observedCount(const SynthesisModel &Model, double Base,
+                     double ContextSum, double Boundaries, double TimeShare,
+                     Rng &EventRng) {
+  const double Context = Model.NaFraction * ContextSum *
+                         (1.0 + Model.NaBoundaryBeta * Boundaries) *
+                         EventRng.lognormalFactor(Model.NaJitterSigma);
+  double Floor = Model.ContextFloor * TimeShare;
+  if (Floor > 0)
+    Floor *= EventRng.lognormalFactor(Model.NoiseSigma);
+  const double Count =
+      (Base + Context + Floor) * EventRng.lognormalFactor(Model.NoiseSigma);
+  return std::max(Count, 0.0);
+}
 } // namespace
 
 ExecutionTrace Machine::runTrace(const CompoundApplication &App,
@@ -225,39 +223,19 @@ void Machine::readCountersWindow(const EventId *Ids, size_t NumIds,
   const double TimeShare = TotalTime > 0 ? Win.DtSec / TotalTime : 0;
   const double Boundaries =
       static_cast<double>(Win.LastPhase - Win.FirstPhase);
+  // A fork tagged (window, event): reading the same window twice gives one
+  // value, and cutting the trace into a different window count leaves
+  // window W's stream untouched.
   const Rng WindowRng = Rng(Trace.Exec.RunSeed).fork("tracewin").fork(W + 1);
-  const double *Act = Win.Activities.data();
 
   for (size_t I = 0; I < NumIds; ++I) {
-    const EventId Id = Ids[I];
-    assert(Id < Plan.Events.size() && "event id out of range");
-    const SynthesisPlan::EventEntry &E = Plan.Events[Id];
-
-    // The same draw sequence as readCounter against a (window, event)
-    // fork: NA jitter, floor jitter (when a floor exists), observation
-    // noise. A pure function of (RunSeed, W, Id) — reading the same
-    // window twice gives one value, and cutting the trace into a
-    // different window count leaves window W's stream untouched.
-    Rng EventRng = WindowRng.fork(static_cast<uint64_t>(Id) + 1);
-
-    const double Base = stats::weightedIndexedSum(
-        Plan.TermWeight.data() + E.TermBegin,
-        Plan.TermKind.data() + E.TermBegin, E.TermEnd - E.TermBegin, Act);
+    const SynthesisModel &Model = Registry.event(Ids[I]).Model;
+    Rng EventRng = WindowRng.fork(static_cast<uint64_t>(Ids[I]) + 1);
+    const double Base = baseCount(Model, Win.Activities);
     const double ContextSum =
-        Base * std::max(Win.ContextIntensity, E.IntensityFloor);
-    const double Context = E.NaFraction * ContextSum *
-                           (1.0 + E.NaBoundaryBeta * Boundaries) *
-                           EventRng.lognormalFactor(E.NaJitterSigma);
-
-    // Whole-run floors (fixed overheads) are pro-rated onto the window's
-    // time share, so the deltas' sum still tracks the whole-run count.
-    double Floor = E.ContextFloor * TimeShare;
-    if (Floor > 0)
-      Floor *= EventRng.lognormalFactor(E.NoiseSigma);
-
-    const double Count =
-        (Base + Context + Floor) * EventRng.lognormalFactor(E.NoiseSigma);
-    Out[I] = std::max(Count, 0.0);
+        Base * std::max(Win.ContextIntensity, Model.IntensityFloor);
+    Out[I] = observedCount(Model, Base, ContextSum, Boundaries, TimeShare,
+                           EventRng);
   }
 }
 
@@ -286,67 +264,25 @@ void Machine::readCounters(const EventId *Ids, size_t NumIds,
                            const Execution &Exec, double *Out) const {
   assert(!Exec.Phases.empty() && "reading counters without an execution");
   ScopedPhase Timer(Phase::Synth);
-
-  // Everything shared across events is hoisted out of the event loop: the
-  // seed generator (fork() is const, so one Rng serves all events), the
-  // per-phase activity pointers and effective intensities, and the
-  // boundary count. The per-event work then streams the flattened term
-  // table. Order guarantees that make each count bit-identical to the
-  // seed per-event formula: terms accumulate in the registry's Coeffs
-  // order, phases accumulate in execution order, and the three RNG draws
-  // happen in the same sequence against the same fork tag.
+  // fork() is const, so one seed generator serves every event.
   const Rng SeedRng(Exec.RunSeed);
-  const size_t NumPhases = Exec.Phases.size();
-  const double Boundaries = static_cast<double>(NumPhases) - 1.0;
-
-  // Phase views on the stack for the common case; direct access (still
-  // allocation-free) for pathologically long compounds.
-  constexpr size_t MaxHoistedPhases = 32;
-  const double *ActData[MaxHoistedPhases];
-  double Intensity[MaxHoistedPhases];
-  const bool Hoisted = NumPhases <= MaxHoistedPhases;
-  if (Hoisted) {
-    for (size_t P = 0; P < NumPhases; ++P) {
-      ActData[P] = Exec.Phases[P].Activities.data();
-      Intensity[P] = Exec.Phases[P].ContextIntensity;
-    }
-  }
+  const double Boundaries = static_cast<double>(Exec.Phases.size()) - 1.0;
 
   for (size_t I = 0; I < NumIds; ++I) {
-    const EventId Id = Ids[I];
-    assert(Id < Plan.Events.size() && "event id out of range");
-    const SynthesisPlan::EventEntry &E = Plan.Events[Id];
-
-    Rng EventRng = SeedRng.fork(static_cast<uint64_t>(Id) + 1);
-
+    const SynthesisModel &Model = Registry.event(Ids[I]).Model;
+    // Forked ahead of the phase sums and passed by reference: copying the
+    // just-forked generator into a by-value argument made
+    // BM_ReadCountersBatch about a quarter slower.
+    Rng EventRng = SeedRng.fork(static_cast<uint64_t>(Ids[I]) + 1);
     double BaseTotal = 0;
     double ContextSum = 0;
-    for (size_t P = 0; P < NumPhases; ++P) {
-      const double *Act =
-          Hoisted ? ActData[P] : Exec.Phases[P].Activities.data();
-      const double PhaseIntensity =
-          Hoisted ? Intensity[P] : Exec.Phases[P].ContextIntensity;
-      // Gathered weighted sum over the event's term-table slice; the
-      // scalar reference accumulates in ascending term order (the
-      // registry's Coeffs order), and the opt-in AVX2 variant K-splits
-      // it (see stats/SimdKernels.h).
-      double Base = stats::weightedIndexedSum(
-          Plan.TermWeight.data() + E.TermBegin,
-          Plan.TermKind.data() + E.TermBegin, E.TermEnd - E.TermBegin, Act);
+    for (const ExecutionPhase &Phase : Exec.Phases) {
+      const double Base = baseCount(Model, Phase.Activities);
       BaseTotal += Base;
-      ContextSum += Base * std::max(PhaseIntensity, E.IntensityFloor);
+      ContextSum +=
+          Base * std::max(Phase.ContextIntensity, Model.IntensityFloor);
     }
-
-    double Context = E.NaFraction * ContextSum *
-                     (1.0 + E.NaBoundaryBeta * Boundaries) *
-                     EventRng.lognormalFactor(E.NaJitterSigma);
-
-    double Floor = E.ContextFloor;
-    if (Floor > 0)
-      Floor *= EventRng.lognormalFactor(E.NoiseSigma);
-
-    double Count = (BaseTotal + Context + Floor) *
-                   EventRng.lognormalFactor(E.NoiseSigma);
-    Out[I] = std::max(Count, 0.0);
+    Out[I] = observedCount(Model, BaseTotal, ContextSum, Boundaries,
+                           /*TimeShare=*/1.0, EventRng);
   }
 }

@@ -12,9 +12,9 @@
 /// deterministic function of (execution run seed, event id), so all the
 /// events collected in one run observe one consistent execution context,
 /// while repeated runs of the same application vary realistically.
-/// Synthesis runs one kernel, readCounters, over a flattened term table;
-/// its counts are bit-identical to the seed per-event formula, which
-/// lives in tests/reference as the oracle the tests compare against.
+/// Synthesis is the per-event formula of pmc::SynthesisModel, written once
+/// here for whole runs and windows alike; tests/reference writes it a
+/// second time as the oracle the tests compare against bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -146,13 +146,13 @@ public:
   }
 
   /// Synthesizes the per-window PMC deltas of \p Ids for window \p W of
-  /// \p Trace through the flattened SynthesisPlan term table: base counts
-  /// from the window's activity share, context distortion from the
-  /// window's mean intensity, whole-run floors pro-rated by DtSec, and
-  /// observation noise drawn from a fork tagged (window, event) — a pure
-  /// function of (RunSeed, W, Id), invariant under the trace's window
-  /// count. Summing a counter's deltas over all windows tracks the
-  /// whole-run readCounter() up to sampling noise.
+  /// \p Trace through each event's SynthesisModel: base counts from the
+  /// window's activity share, context distortion from the window's mean
+  /// intensity, whole-run floors pro-rated by DtSec, and observation
+  /// noise drawn from a fork tagged (window, event) — a pure function of
+  /// (RunSeed, W, Id), invariant under the trace's window count. Summing
+  /// a counter's deltas over all windows tracks the whole-run
+  /// readCounter() up to sampling noise.
   void readCountersWindow(const pmc::EventId *Ids, size_t NumIds,
                           const ExecutionTrace &Trace, size_t W,
                           double *Out) const;
@@ -167,15 +167,12 @@ public:
   /// Deterministic per (Exec.RunSeed, Id).
   double readCounter(pmc::EventId Id, const Execution &Exec) const;
 
-  /// Synthesizes every one of \p Ids against \p Exec in one pass. The
-  /// RNG seed state and the execution's per-phase activity vectors are
-  /// hoisted once, and each event streams its slice of a flattened
-  /// machine-wide term table, keeping the registry's term order and the
-  /// phase order — so every count is bit-identical to the seed per-event
-  /// formula over the registry's SynthesisModel (tests/reference keeps it
-  /// as the oracle). The caller is responsible for respecting PMU
-  /// scheduling constraints (see pmc::planCollection); core::PmcProfiler
-  /// does this.
+  /// Synthesizes every one of \p Ids against \p Exec: for each id, its
+  /// SynthesisModel's weighted activity sum over the phases in execution
+  /// order, then the context, floor and noise draws from the run seed's
+  /// fork(Id + 1). The seed generator is built once per call. The caller
+  /// is responsible for respecting PMU scheduling constraints (see
+  /// pmc::planCollection); core::PmcProfiler does this.
   std::vector<double> readCounters(const std::vector<pmc::EventId> &Ids,
                                    const Execution &Exec) const;
 
@@ -185,35 +182,11 @@ public:
                     const Execution &Exec, double *Out) const;
 
 private:
-  /// Flattened, cache-contiguous copy of every event's SynthesisModel:
-  /// one dense parameter entry per event plus a shared term table in the
-  /// registry's original per-event term order (term order must be
-  /// preserved — reassociating the weighted sums would change the
-  /// floating-point result).
-  struct SynthesisPlan {
-    struct EventEntry {
-      uint32_t TermBegin = 0;    ///< First index into TermKind/TermWeight.
-      uint32_t TermEnd = 0;      ///< One past the last term.
-      double NaFraction = 0;
-      double NaBoundaryBeta = 0;
-      double IntensityFloor = 0;
-      double NaJitterSigma = 0;
-      double ContextFloor = 0;
-      double NoiseSigma = 0;
-    };
-    std::vector<EventEntry> Events; ///< Indexed by EventId.
-    std::vector<uint32_t> TermKind; ///< ActivityKind per term.
-    std::vector<double> TermWeight; ///< Weight per term.
-  };
-
-  void buildSynthesisPlan();
-
   Platform Plat;
   pmc::EventRegistry Registry;
   EnergyModel Energy;
   Rng MachineRng;
   uint64_t RunCounter = 0;
-  SynthesisPlan Plan;
 };
 
 } // namespace sim

@@ -125,18 +125,6 @@ void stats::quantizeScaleClamp(const double *X, const double *Scale, size_t N,
 #endif
 }
 
-double stats::weightedIndexedSum(const double *Weight, const uint32_t *Index,
-                                 size_t N, const double *Values) {
-#ifdef SLOPE_SIMD_AVX2_COMPILED
-  if (detail::KSplitKernelsAvx2Flag)
-    return detail::weightedIndexedSumAvx2(Weight, Index, N, Values);
-#endif
-  double Sum = 0;
-  for (size_t I = 0; I < N; ++I)
-    Sum += Weight[I] * Values[Index[I]];
-  return Sum;
-}
-
 double stats::sum(const double *X, size_t N) {
 #ifdef SLOPE_SIMD_AVX2_COMPILED
   if (detail::KSplitKernelsAvx2Flag)

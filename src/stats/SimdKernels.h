@@ -23,12 +23,12 @@
 ///    compiled for baseline x86-64, which has no FMA instruction, and a
 ///    fused multiply-add rounds once where multiply+add rounds twice.
 ///
-///  * **K-split** kernels (dot, gemmBTransposedAccumulate,
-///    weightedIndexedSum): one output element's contraction is spread
-///    across 4 lane accumulators combined at the end, which reassociates
-///    the FP sum. Results differ from the scalar reference in the last
-///    bits (property-tested relative error < 1e-12), so these run only
-///    under the explicit SimdMode::Avx2 opt-in and are gated in CI by a
+///  * **K-split** kernels (dot, gemmBTransposedAccumulate, sum): one
+///    output element's contraction is spread across 4 lane accumulators
+///    combined at the end, which reassociates the FP sum. Results differ
+///    from the scalar reference in the last bits (property-tested
+///    relative error < 1e-12), so these run only under the explicit
+///    SimdMode::Avx2 opt-in and are gated in CI by a
 ///    microbench speedup + tolerance check, mirroring --infer-algo's
 ///    accuracy-for-speed contract. K-split kernels may use FMA.
 ///
@@ -59,7 +59,7 @@ enum class SimdMode {
 /// flags. The initial value honours the SLOPE_SIMD environment variable
 /// ("auto", "avx2", "scalar"); benches expose it as --simd. Not
 /// thread-safe against concurrent kernel calls (set it at startup or
-/// between phases, like the --infer-algo and --fit-algo switches).
+/// between phases, like the --infer-algo switch).
 void setDefaultSimdMode(SimdMode M);
 
 /// \returns the process-wide requested SIMD mode (never resolves Auto).
@@ -97,14 +97,6 @@ bool simdKSplitKernelsActive();
 /// ml::QuantizedModel::quantizeRow routes here.
 void quantizeScaleClamp(const double *X, const double *Scale, size_t N,
                         int64_t Clamp, int32_t *Out);
-
-/// \returns sum_i Weight[i] * Values[Index[i]] — the gathered weighted
-/// sum the counter-synthesis term table walks (sim::Machine). K-split:
-/// the AVX2 variant gathers 4 terms per step into 4 lane accumulators,
-/// which reassociates the sum, so it runs only under SimdMode::Avx2; the
-/// scalar reference accumulates in ascending term order.
-double weightedIndexedSum(const double *Weight, const uint32_t *Index,
-                          size_t N, const double *Values);
 
 /// \returns sum_i X[i]. K-split: the scalar reference is one serial
 /// ascending chain (the neural-network bias-gradient reduction order);
@@ -152,8 +144,6 @@ double dotAvx2(const double *A, const double *B, size_t N);
 void axpyAvx2(double Alpha, const double *X, double *Y, size_t N);
 void quantizeScaleClampAvx2(const double *X, const double *Scale, size_t N,
                             int64_t Clamp, int32_t *Out);
-double weightedIndexedSumAvx2(const double *Weight, const uint32_t *Index,
-                              size_t N, const double *Values);
 double sumAvx2(const double *X, size_t N);
 void adamStepAvx2(double *W, double *M, double *V, const double *Grad,
                   size_t N, double L2, double Beta1, double Beta2,

@@ -395,30 +395,4 @@ void detail::gramUpperTileAvx2(const double *Data, size_t NumRows,
   }
 }
 
-double detail::weightedIndexedSumAvx2(const double *Weight,
-                                      const uint32_t *Index, size_t N,
-                                      const double *Values) {
-  // K-split gathered dot: 4 term indices load as one 128-bit vector, the
-  // values gather through vgatherdpd, and FMA folds them into 4 lane
-  // accumulators. Reassociates — opt-in only. The masked gather form
-  // with an all-ones mask loads every lane just like the plain
-  // intrinsic, but gives the pass-through operand a defined value (the
-  // plain form leaves it uninitialized, which GCC flags under -Werror).
-  const __m256d GatherSrc = _mm256_setzero_pd();
-  const __m256d GatherMask = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  __m256d Acc = _mm256_setzero_pd();
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4) {
-    const __m128i Idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(Index + I));
-    const __m256d Vals =
-        _mm256_mask_i32gather_pd(GatherSrc, Values, Idx, GatherMask, 8);
-    Acc = _mm256_fmadd_pd(_mm256_loadu_pd(Weight + I), Vals, Acc);
-  }
-  double Sum = hsum4(Acc);
-  for (; I < N; ++I)
-    Sum += Weight[I] * Values[Index[I]];
-  return Sum;
-}
-
 #endif // SLOPE_SIMD_AVX2_COMPILED

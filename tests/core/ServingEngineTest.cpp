@@ -692,13 +692,15 @@ TEST(FleetTrace, DriftScalesLabelsButNeverFeatures) {
 
 namespace {
 
-/// \returns \p Clean with a row naming a tenant or app outside the fleet
-/// inserted before every seventh row, cycling through a bad tenant, a bad
-/// app and both (ids at the bound and at UINT32_MAX); \p Injected counts
-/// the inserted rows.
-MiniTrace withHostileIds(const MiniTrace &Clean, size_t &Injected) {
+/// \returns \p Clean with hostile rows inserted, \p Injected counting
+/// them: before every seventh row, a row naming a tenant or app outside
+/// the fleet, cycling through a bad tenant, a bad app and both (ids at
+/// the bound and at UINT32_MAX); before every fifth, an in-fleet row with
+/// one feature NaN, +Inf or -Inf in turn, the poisoned column cycling.
+MiniTrace withHostileRows(const MiniTrace &Clean, size_t &Injected) {
   const uint32_t BadTenants[] = {Clean.NumTenants, UINT32_MAX};
   const uint32_t BadApps[] = {Clean.NumApps, UINT32_MAX};
+  const double NonFinite[] = {std::nan(""), INFINITY, -INFINITY};
   MiniTrace Mixed = Clean;
   Mixed.Tenants.clear();
   Mixed.Apps.clear();
@@ -715,6 +717,13 @@ MiniTrace withHostileIds(const MiniTrace &Clean, size_t &Injected) {
       const size_t K = I / 7;
       Push(K % 3 == 1 ? Clean.Tenants[I] : BadTenants[K % 2],
            K % 3 == 0 ? Clean.Apps[I] : BadApps[K % 2], I);
+      ++Injected;
+    }
+    if (I % 5 == 3) {
+      const size_t K = I / 5;
+      Push(Clean.Tenants[I], Clean.Apps[I], I);
+      Mixed.Features[(Mixed.size() - 1) * Clean.Width + K % Clean.Width] =
+          NonFinite[K % 3];
       ++Injected;
     }
     Push(Clean.Tenants[I], Clean.Apps[I], I);
@@ -741,10 +750,10 @@ void expectSameTables(const ServingEngine &Got, const ServingEngine &Want) {
 } // namespace
 
 TEST(ServingEngine, RefusesOutOfRangeIdsAtAnyShardAndThreadCount) {
-  // A row naming a tenant or app outside the fleet is refused at ingest on
-  // the FP and the quantized path alike: never staged, counted once in
-  // Refused, and the tables, observation and epoch counts are those of
-  // the trace without it.
+  // A row naming a tenant or app outside the fleet, or carrying a NaN or
+  // infinite feature, is refused at ingest on the FP and the quantized
+  // path alike: never staged, counted once in Refused, and the tables,
+  // observation and epoch counts are those of the trace without it.
   ThreadCountGuard Guard;
   SumModel Fp;
   ml::Dataset Train = miniTrainingSet(3, 0x51);
@@ -752,8 +761,8 @@ TEST(ServingEngine, RefusesOutOfRangeIdsAtAnyShardAndThreadCount) {
   ASSERT_TRUE(bool(Quant));
   MiniTrace Clean = makeMiniTrace(3000, 29, 4, 3, 0xBAD1D);
   size_t Injected = 0;
-  MiniTrace Mixed = withHostileIds(Clean, Injected);
-  ASSERT_GT(Injected, 400u);
+  MiniTrace Mixed = withHostileRows(Clean, Injected);
+  ASSERT_GT(Injected, 1000u);
 
   const ml::Model *Models[] = {&Fp, Quant->get()};
   for (const ml::Model *M : Models)
@@ -770,11 +779,14 @@ TEST(ServingEngine, RefusesOutOfRangeIdsAtAnyShardAndThreadCount) {
         ServingEngine Got(*M, Mixed.Width, Mixed.NumTenants, Mixed.NumApps,
                           Config);
         for (size_t I = 0; I < Mixed.size(); ++I) {
-          const bool InFleet = Mixed.Tenants[I] < Mixed.NumTenants &&
-                               Mixed.Apps[I] < Mixed.NumApps;
-          ASSERT_EQ(Got.ingest(Mixed.Tenants[I], Mixed.Apps[I],
-                               Mixed.Features.data() + I * Mixed.Width),
-                    InFleet)
+          const double *X = Mixed.Features.data() + I * Mixed.Width;
+          const bool Admissible =
+              Mixed.Tenants[I] < Mixed.NumTenants &&
+              Mixed.Apps[I] < Mixed.NumApps &&
+              std::all_of(X, X + Mixed.Width,
+                          [](double V) { return std::isfinite(V); });
+          ASSERT_EQ(Got.ingest(Mixed.Tenants[I], Mixed.Apps[I], X),
+                    Admissible)
               << "row " << I;
         }
         Got.endEpoch();
@@ -786,18 +798,19 @@ TEST(ServingEngine, RefusesOutOfRangeIdsAtAnyShardAndThreadCount) {
 }
 
 TEST(ServingEngine, ReplayRefusesTraceRowsOutsideTheFleet) {
-  // A trace drawn for a larger fleet than the engine serves: replay
-  // refuses its rows outside the engine's fleet exactly as per-row ingest
+  // A trace drawn for a larger fleet than the engine serves, with some
+  // rows carrying a non-finite feature: replay refuses its rows outside
+  // the engine's fleet and its non-finite rows exactly as per-row ingest
   // does, on the FP and the quantized path.
   ThreadCountGuard Guard;
   Machine Rig(Platform::intelSkylakeServer(), 43);
   auto Trace = makeDriftingTrace(Rig, 3000, /*DriftMax=*/0.0);
   ASSERT_TRUE(bool(Trace));
   const uint32_t NumTenants = 30, NumApps = 2;
-  size_t Outside = 0;
+  size_t Refused = 0;
   for (size_t I = 0; I < Trace->size(); ++I)
-    Outside += Trace->tenant(I) >= NumTenants || Trace->app(I) >= NumApps;
-  ASSERT_GT(Outside, 0u);
+    Refused += Trace->tenant(I) >= NumTenants || Trace->app(I) >= NumApps;
+  ASSERT_GT(Refused, 0u);
 
   std::vector<std::string> Names;
   for (size_t F = 0; F < Trace->width(); ++F)
@@ -808,6 +821,16 @@ TEST(ServingEngine, ReplayRefusesTraceRowsOutsideTheFleet) {
   std::unique_ptr<ml::Model> Lr = fittedLr(Head);
   auto Quant = ml::QuantizedModel::build(fittedLr(Head), Head);
   ASSERT_TRUE(bool(Quant));
+
+  // Past the training head, one feature of every eleventh row turns NaN,
+  // +Inf or -Inf in turn (the trace owns its features; the test writes
+  // through the read accessor).
+  const double NonFinite[] = {std::nan(""), INFINITY, -INFINITY};
+  for (size_t I = 300; I < Trace->size(); I += 11) {
+    const_cast<double *>(Trace->features(I))[I % Trace->width()] =
+        NonFinite[I % 3];
+    Refused += Trace->tenant(I) < NumTenants && Trace->app(I) < NumApps;
+  }
 
   const ml::Model *Models[] = {Lr.get(), Quant->get()};
   for (const ml::Model *M : Models)
@@ -826,9 +849,9 @@ TEST(ServingEngine, ReplayRefusesTraceRowsOutsideTheFleet) {
         Want.endEpoch();
         ServingEngine Got(*M, Trace->width(), NumTenants, NumApps, Config);
         Got.replay(*Trace);
-        EXPECT_EQ(Got.stats().Refused, Outside);
-        EXPECT_EQ(Want.stats().Refused, Outside);
-        EXPECT_EQ(Got.stats().Observations, Trace->size() - Outside);
+        EXPECT_EQ(Got.stats().Refused, Refused);
+        EXPECT_EQ(Want.stats().Refused, Refused);
+        EXPECT_EQ(Got.stats().Observations, Trace->size() - Refused);
         EXPECT_EQ(Got.stats().Epochs, Want.stats().Epochs);
         expectSameTables(Got, Want);
       }

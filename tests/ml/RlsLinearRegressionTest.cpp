@@ -19,12 +19,6 @@ using namespace slope::ml;
 
 namespace {
 
-/// Restores the process-wide fit algorithm when a test returns.
-struct FitAlgorithmGuard {
-  FitAlgorithm Saved = defaultFitAlgorithm();
-  ~FitAlgorithmGuard() { setDefaultFitAlgorithm(Saved); }
-};
-
 /// Noisy y = 3a + 2b + 0.5c (optionally plus an intercept).
 Dataset makeStream(size_t N, uint64_t Seed, double Intercept = 0.0) {
   Rng R(Seed);
@@ -177,10 +171,3 @@ TEST(RlsLinearRegression, RejectsDegenerateFits) {
   EXPECT_FALSE(bool(Bad.fit(makeStream(10, 6))));
 }
 
-TEST(RlsLinearRegression, FitAlgorithmSwitchRoundTrips) {
-  FitAlgorithmGuard Guard;
-  setDefaultFitAlgorithm(FitAlgorithm::Refit);
-  EXPECT_EQ(defaultFitAlgorithm(), FitAlgorithm::Refit);
-  setDefaultFitAlgorithm(FitAlgorithm::Rls);
-  EXPECT_EQ(defaultFitAlgorithm(), FitAlgorithm::Rls);
-}

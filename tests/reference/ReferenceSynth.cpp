@@ -46,3 +46,40 @@ double reference::readCounter(const Machine &M, EventId Id,
                  EventRng.lognormalFactor(Model.NoiseSigma);
   return std::max(Count, 0.0);
 }
+
+double reference::readCounterWindow(const Machine &M, EventId Id,
+                                    const ExecutionTrace &Trace, size_t W) {
+  assert(W < Trace.windowCount() && "window index out of range");
+  const SynthesisModel &Model = M.registry().event(Id).Model;
+  const TraceWindow &Win = Trace.Windows[W];
+
+  // A pure function of (run, window, event): the window's stream does not
+  // depend on how many windows the trace was cut into.
+  Rng EventRng = Rng(Trace.Exec.RunSeed)
+                     .fork("tracewin")
+                     .fork(static_cast<uint64_t>(W) + 1)
+                     .fork(static_cast<uint64_t>(Id) + 1);
+
+  double Base = 0;
+  for (const ActivityTerm &Term : Model.Coeffs)
+    Base += Term.Weight * Win.Activities[Term.Kind];
+
+  double ContextSum =
+      Base * std::max(Win.ContextIntensity, Model.IntensityFloor);
+  double Boundaries = static_cast<double>(Win.LastPhase - Win.FirstPhase);
+  double Context = Model.NaFraction * ContextSum *
+                   (1.0 + Model.NaBoundaryBeta * Boundaries) *
+                   EventRng.lognormalFactor(Model.NaJitterSigma);
+
+  // The whole-run floor (a fixed overhead) falls on the window in
+  // proportion to its time, so the deltas sum to about the run's count.
+  double TotalTime = Trace.Exec.totalTimeSec();
+  double TimeShare = TotalTime > 0 ? Win.DtSec / TotalTime : 0;
+  double Floor = Model.ContextFloor * TimeShare;
+  if (Floor > 0)
+    Floor *= EventRng.lognormalFactor(Model.NoiseSigma);
+
+  double Count =
+      (Base + Context + Floor) * EventRng.lognormalFactor(Model.NoiseSigma);
+  return std::max(Count, 0.0);
+}

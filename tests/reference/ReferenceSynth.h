@@ -5,10 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The seed per-event counter synthesis, kept as the oracle the plan
-/// kernel of sim::Machine::readCounters must reproduce bit for bit: the
-/// formula of pmc::SynthesisModel read straight off the machine's
-/// registry, one event at a time.
+/// The counter-synthesis formula of pmc::SynthesisModel, written a second
+/// time straight off the machine's registry, one event at a time and apart
+/// from sim::Machine's code: the oracle Machine::readCounters and
+/// Machine::readCountersWindow must reproduce bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +26,15 @@ namespace reference {
 /// floor and noise draws from Rng(Exec.RunSeed).fork(Id + 1).
 double readCounter(const sim::Machine &M, pmc::EventId Id,
                    const sim::Execution &Exec);
+
+/// Synthesizes the delta of \p Id over window \p W of \p Trace on \p M:
+/// the model's weighted sum over the window's activity share, context
+/// from the window's mean intensity and the phase boundaries it spans,
+/// the whole-run floor scaled by the window's share of the run time, and
+/// the context, floor and noise draws from
+/// Rng(RunSeed).fork("tracewin").fork(W + 1).fork(Id + 1).
+double readCounterWindow(const sim::Machine &M, pmc::EventId Id,
+                         const sim::ExecutionTrace &Trace, size_t W);
 
 } // namespace reference
 } // namespace slope

@@ -4,12 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Property suite for the counter-synthesis engine: the plan kernel behind
-// Machine::readCounters must reproduce the seed per-event formula
-// (tests/reference) bit for bit across platforms, phase counts, and event
-// subsets, and the batch run APIs must reproduce a serial sequence of
-// run() calls at any thread count. All comparisons are exact (EXPECT_EQ on doubles), not tolerance
-// based — the engine's contract is bit-identity, not approximation.
+// Property suite for the counter-synthesis engine: Machine::readCounters
+// and readCountersWindow must reproduce the per-event oracle
+// (tests/reference) bit for bit across platforms, phase counts, windows
+// and event subsets, and the batch run APIs must reproduce a serial
+// sequence of run() calls at any thread count. All comparisons are exact
+// (EXPECT_EQ on doubles), not tolerance based — the engine's contract is
+// bit-identity, not approximation.
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,8 +36,7 @@ struct ThreadCountGuard {
   ~ThreadCountGuard() { ThreadPool::setGlobalThreadCount(0); }
 };
 
-/// A compound with \p NumPhases alternating kernels (exercises both the
-/// stack-hoisted phase views and, past 32 phases, the fallback path).
+/// A compound with \p NumPhases alternating kernels.
 CompoundApplication longCompound(size_t NumPhases) {
   CompoundApplication App;
   for (size_t I = 0; I < NumPhases; ++I)
@@ -91,10 +91,37 @@ TEST(SynthAlgorithm, BatchedMatchesNaiveOnFivePhaseCompound) {
 }
 
 TEST(SynthAlgorithm, BatchedMatchesNaivePastPhaseHoistCapacity) {
-  // 40 phases exceeds the kernel's 32-slot stack hoist, forcing the
-  // allocation-free direct-access fallback.
+  // A long compound: 40 phases, 39 boundaries inflating the context
+  // share.
   expectBatchedMatchesNaive(Platform::intelHaswellServer(), longCompound(40),
                             105);
+}
+
+TEST(SynthAlgorithm, WindowedMatchesReferenceInEveryWindow) {
+  // readCountersWindow against the per-window oracle for every event of
+  // both registries. One window spans the whole run, seven windows
+  // straddle phase boundaries, and 64 cut each phase into several
+  // windows (some still straddling a boundary).
+  for (const Platform &P :
+       {Platform::intelHaswellServer(), Platform::intelSkylakeServer()}) {
+    Machine M(P, 112);
+    const std::vector<EventId> Ids = M.registry().allEvents();
+    std::vector<double> Got(Ids.size());
+    for (size_t Windows : {1u, 7u, 64u}) {
+      SCOPED_TRACE(P.Name + ", " + std::to_string(Windows) + " windows");
+      ExecutionTrace Trace = M.runTrace(longCompound(5), 0x71CE, Windows);
+      size_t Straddling = 0;
+      for (size_t W = 0; W < Windows; ++W) {
+        const TraceWindow &Win = Trace.Windows[W];
+        Straddling += Win.FirstPhase != Win.LastPhase;
+        M.readCountersWindow(Ids.data(), Ids.size(), Trace, W, Got.data());
+        for (size_t I = 0; I < Ids.size(); ++I)
+          ASSERT_EQ(Got[I], reference::readCounterWindow(M, Ids[I], Trace, W))
+              << "window " << W << ", " << M.registry().event(Ids[I]).Name;
+      }
+      EXPECT_GT(Straddling, 0u);
+    }
+  }
 }
 
 TEST(SynthAlgorithm, ArbitrarySubsetsAndOrdersMatch) {
