@@ -2,7 +2,8 @@
 """CI speedup gate: assert json_a's timing is >= min_ratio x json_b's.
 
 Usage:
-    check_speedup.py JSON_A JSON_B KEY MIN_RATIO LABEL [--key-b KEY_B]
+    check_speedup.py JSON_A[,JSON_A...] JSON_B[,JSON_B...] KEY MIN_RATIO LABEL
+                     [--key-b KEY_B]
 
 JSON_A holds the slow/baseline timing, JSON_B the fast/optimized one; the
 gate passes when value_a / value_b >= MIN_RATIO. KEY selects the value:
@@ -19,6 +20,13 @@ gate passes when value_a / value_b >= MIN_RATIO. KEY selects the value:
 same file twice with --key-b to compare two entries of one
 google-benchmark report.
 
+JSON_A and JSON_B may each be a comma-separated list of the same length:
+pair i is (JSON_A[i], JSON_B[i]), and the gate compares the median of the
+per-pair ratios with MIN_RATIO. On a host whose speed swings with load,
+pairs of runs taken back to back (in alternating order) see the same
+phase on both sides, so their ratios are steadier than one ratio of two
+single runs.
+
 --tolerance-json PREFIX additionally gates *accuracy* in the same call:
 every top-level numeric field of both JSONs whose name starts with PREFIX
 (e.g. the serving bench's "app_energy_j_*" attribution table) must agree
@@ -33,6 +41,7 @@ On failure prints a GitHub Actions ::error:: annotation and exits 1.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -94,8 +103,10 @@ def check_tolerance(json_a, json_b, prefix, rel_tol, label):
 def main():
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("json_a", help="baseline (slow) timing JSON")
-    parser.add_argument("json_b", help="optimized (fast) timing JSON")
+    parser.add_argument("json_a", help="baseline (slow) timing JSON, or a "
+                        "comma-separated list of them")
+    parser.add_argument("json_b", help="optimized (fast) timing JSON, or a "
+                        "comma-separated list as long as JSON_A's")
     parser.add_argument("key", help="timing field or benchmark name")
     parser.add_argument("min_ratio", type=float,
                         help="required value_a / value_b ratio")
@@ -113,23 +124,36 @@ def main():
     args = parser.parse_args()
 
     key_b = args.key_b if args.key_b is not None else args.key
-    value_a = load_value(args.json_a, args.key)
-    value_b = load_value(args.json_b, key_b)
-    if value_b <= 0:
-        raise SystemExit(f"::error::{args.label}: non-positive optimized "
-                         f"timing {value_b}")
-    ratio = value_a / value_b
-    print(f"{args.label}: baseline={value_a:.1f} optimized={value_b:.1f} "
-          f"ratio={ratio:.2f}x (required >= {args.min_ratio:.2f}x)")
+    files_a, files_b = args.json_a.split(","), args.json_b.split(",")
+    if len(files_a) != len(files_b):
+        raise SystemExit(f"::error::{args.label}: JSON_A lists "
+                         f"{len(files_a)} files, JSON_B {len(files_b)}")
+    pairs = list(zip(files_a, files_b))
+    ratios = []
+    for json_a, json_b in pairs:
+        value_a = load_value(json_a, args.key)
+        value_b = load_value(json_b, key_b)
+        if value_b <= 0:
+            raise SystemExit(f"::error::{args.label}: non-positive optimized "
+                             f"timing {value_b} in {json_b}")
+        ratios.append(value_a / value_b)
+    ratio = statistics.median(ratios)
+    if len(pairs) == 1:
+        print(f"{args.label}: baseline={value_a:.1f} optimized={value_b:.1f} "
+              f"ratio={ratio:.2f}x (required >= {args.min_ratio:.2f}x)")
+    else:
+        print(f"{args.label}: {len(pairs)} pairs, ratios "
+              f"{', '.join(f'{r:.2f}' for r in ratios)}, "
+              f"median={ratio:.2f}x (required >= {args.min_ratio:.2f}x)")
     status = 0
     if ratio < args.min_ratio:
         print(f"::error::{args.label}: expected >= {args.min_ratio:.2f}x "
               f"speedup, got {ratio:.2f}x")
         status = 1
     if args.tolerance_json is not None:
-        status |= check_tolerance(args.json_a, args.json_b,
-                                  args.tolerance_json, args.rel_tol,
-                                  args.label)
+        for json_a, json_b in pairs:
+            status |= check_tolerance(json_a, json_b, args.tolerance_json,
+                                      args.rel_tol, args.label)
     return status
 
 

@@ -11,6 +11,8 @@ regression at once. These tests pin the gate's contract:
     aggregates of a repeated run), the missing-key error, and the failure
     on an entry that reports an error;
   * the pass/fail ratio decision and the --key-b cross-file key;
+  * the median of per-pair ratios over comma-separated lists of JSONs,
+    and the error on lists of different lengths;
   * the --tolerance-json accuracy gate: within-bound pass, out-of-bound
     fail, mismatched key sets, and the no-matching-fields vacuous case.
 
@@ -132,6 +134,42 @@ class CheckSpeedupTest(unittest.TestCase):
         code, out = self.run_gate(a, b, "serve_ms", 2.0, "unit")
         self.assertEqual(code, 1, out)
         self.assertIn("non-positive", out)
+
+    # --- median of pairs ------------------------------------------------
+
+    def pair_lists(self, timings):
+        """Writes one google-benchmark JSON per side and pair; returns the
+        two comma-separated lists, the SIMD gate's shape."""
+        files_a, files_b = [], []
+        for i, (a, b) in enumerate(timings):
+            files_a.append(self.write_json(f"scalar_{i}.json", {
+                "benchmarks": [{"name": "BM_NNFit/0", "real_time": a}]}))
+            files_b.append(self.write_json(f"avx2_{i}.json", {
+                "benchmarks": [{"name": "BM_NNFit/0", "real_time": b}]}))
+        return ",".join(files_a), ",".join(files_b)
+
+    def test_median_of_pairs_passes(self):
+        # Ratios 1.2, 2.0 and 3.0: one pair under the bar, median 2.0.
+        a, b = self.pair_lists([(12.0, 10.0), (20.0, 10.0), (30.0, 10.0)])
+        code, out = self.run_gate(a, b, "BM_NNFit/0", 1.5, "unit")
+        self.assertEqual(code, 0, out)
+        self.assertIn("3 pairs, ratios 1.20, 2.00, 3.00, median=2.00x", out)
+
+    def test_median_not_mean_of_pairs_decides(self):
+        # Ratios 1.0, 1.4 and 5.0: the mean (2.47x) would pass, the median
+        # (1.40x) does not.
+        a, b = self.pair_lists([(10.0, 10.0), (14.0, 10.0), (50.0, 10.0)])
+        code, out = self.run_gate(a, b, "BM_NNFit/0", 1.5, "unit")
+        self.assertEqual(code, 1, out)
+        self.assertIn("median=1.40x", out)
+        self.assertIn("::error::", out)
+
+    def test_pair_lists_of_different_lengths_are_an_error(self):
+        a, b = self.pair_lists([(20.0, 10.0), (20.0, 10.0)])
+        code, out = self.run_gate(a, b.split(",")[0], "BM_NNFit/0", 1.5,
+                                  "unit")
+        self.assertEqual(code, 1, out)
+        self.assertIn("JSON_A lists 2 files, JSON_B 1", out)
 
     # --- --tolerance-json accuracy gate ---------------------------------
 

@@ -22,35 +22,6 @@ using namespace slope::sim;
 
 namespace {
 
-/// Builds a family model honoring the experiment's budget knobs.
-std::unique_ptr<ml::Model> makeModel(ModelFamily Family, uint64_t Seed,
-                                     unsigned NnEpochs, size_t RfTrees) {
-  switch (Family) {
-  case ModelFamily::LR:
-    return std::make_unique<ml::LinearRegression>(
-        ml::LinearRegressionOptions::paperDefault());
-  case ModelFamily::RF: {
-    ml::RandomForestOptions Options;
-    Options.NumTrees = RfTrees;
-    Options.Seed = Seed;
-    return std::make_unique<ml::RandomForest>(Options);
-  }
-  case ModelFamily::NN: {
-    ml::NeuralNetworkOptions Options;
-    Options.HiddenLayers = {16};
-    Options.Transfer = ml::Activation::Identity;
-    Options.Epochs = NnEpochs;
-    Options.Seed = Seed;
-    return std::make_unique<ml::NeuralNetwork>(Options);
-  }
-  case ModelFamily::Knn:
-    // The kNN baseline ignores the budget knobs (no trees, no epochs).
-    return std::make_unique<ml::KnnRegressor>(ml::KnnOptions());
-  }
-  assert(false && "unknown model family");
-  return nullptr;
-}
-
 /// Fits a model of \p Family on the pre-selected train/test datasets and
 /// evaluates it, producing one table row. \p SubTrain / \p SubTest must be
 /// restricted to the \p Pmcs columns already — the subset datasets are
@@ -67,7 +38,8 @@ ModelEvalRow evaluateSubset(ModelFamily Family, const std::string &Label,
   assert(SubTrain.numFeatures() == Pmcs.size() &&
          SubTest.numFeatures() == Pmcs.size() &&
          "expected pre-selected subset datasets");
-  std::unique_ptr<ml::Model> M = makeModel(Family, Seed, NnEpochs, RfTrees);
+  std::unique_ptr<ml::Model> M =
+      makePaperModel(Family, Seed, NnEpochs, RfTrees);
   [[maybe_unused]] auto Fit = M->fit(SubTrain);
   assert(Fit && "experiment model failed to fit");
   Row.Errors = ml::evaluateModel(*M, SubTest);
@@ -612,7 +584,7 @@ ClassDResult core::runClassD(const ClassDConfig &Config) {
     Row.Pmcs = Board.Info.Canonical;
     std::vector<double> Sum(Board.Test.numRows(), 0.0);
     for (size_t C = 0; C < Board.ClusterTrain.size(); ++C) {
-      std::unique_ptr<ml::Model> M = makeModel(
+      std::unique_ptr<ml::Model> M = makePaperModel(
           Families[FamilyIdx], Seed + 1 + C, Config.NnEpochs, Config.RfTrees);
       [[maybe_unused]] auto Fit = M->fit(Board.ClusterTrain[C]);
       assert(Fit && "cluster model failed to fit");

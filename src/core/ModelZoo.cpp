@@ -7,8 +7,6 @@
 #include "core/ModelZoo.h"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace slope;
 using namespace slope::core;
@@ -30,14 +28,15 @@ const char *core::modelFamilyName(ModelFamily Family) {
 }
 
 std::unique_ptr<Model> core::makePaperModel(ModelFamily Family,
-                                            uint64_t Seed) {
+                                            uint64_t Seed, unsigned NnEpochs,
+                                            size_t RfTrees) {
   switch (Family) {
   case ModelFamily::LR:
     return std::make_unique<LinearRegression>(
         LinearRegressionOptions::paperDefault());
   case ModelFamily::RF: {
     RandomForestOptions Options;
-    Options.NumTrees = 100;
+    Options.NumTrees = RfTrees;
     Options.Seed = Seed;
     return std::make_unique<RandomForest>(Options);
   }
@@ -45,12 +44,13 @@ std::unique_ptr<Model> core::makePaperModel(ModelFamily Family,
     NeuralNetworkOptions Options;
     Options.HiddenLayers = {16};
     Options.Transfer = Activation::Identity; // The paper's linear transfer.
-    Options.Epochs = 300;
+    Options.Epochs = NnEpochs;
     Options.Seed = Seed;
     return std::make_unique<NeuralNetwork>(Options);
   }
   case ModelFamily::Knn:
-    // Deterministic (no stochastic fitting); Seed intentionally unused.
+    // Deterministic (no stochastic fitting, no trees or epochs): Seed and
+    // the budgets are intentionally unused.
     return std::make_unique<KnnRegressor>(KnnOptions());
   }
   assert(false && "unknown model family");
@@ -58,23 +58,9 @@ std::unique_ptr<Model> core::makePaperModel(ModelFamily Family,
 }
 
 std::unique_ptr<Model> core::fitPaperModel(ModelFamily Family, uint64_t Seed,
-                                           const Dataset &Training,
-                                           InferenceAlgorithm Algo) {
+                                           const Dataset &Training) {
   std::unique_ptr<Model> M = makePaperModel(Family, Seed);
   [[maybe_unused]] auto Fit = M->fit(Training);
   assert(Fit && "paper model failed to fit an experiment dataset");
-  if (Algo == InferenceAlgorithm::Quantized) {
-    // Never fall back silently: a quantized run that cannot quantize is a
-    // configuration error, not a licence to serve FP numbers under a
-    // quantized label (the perf gate would pass vacuously).
-    Expected<std::unique_ptr<QuantizedModel>> Q =
-        QuantizedModel::build(std::move(M), Training);
-    if (!Q) {
-      std::fprintf(stderr, "fatal: --infer-algo quantized: %s\n",
-                   Q.error().message().c_str());
-      std::abort();
-    }
-    return Q.takeValue();
-  }
   return M;
 }

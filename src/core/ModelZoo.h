@@ -18,7 +18,6 @@
 #include "ml/KnnRegressor.h"
 #include "ml/LinearRegression.h"
 #include "ml/NeuralNetwork.h"
-#include "ml/QuantizedModel.h"
 #include "ml/RandomForest.h"
 
 #include <memory>
@@ -37,18 +36,17 @@ const char *modelFamilyName(ModelFamily Family);
 
 /// Creates a model of \p Family in its paper configuration. \p Seed
 /// varies the stochastic families (RF bootstrap, NN initialization);
-/// the LR solver is deterministic.
-std::unique_ptr<ml::Model> makePaperModel(ModelFamily Family, uint64_t Seed);
+/// the LR solver is deterministic. \p NnEpochs and \p RfTrees are the
+/// training budgets of the NN and RF families (the paper's 300 epochs
+/// and 100 trees by default); the other families ignore them.
+std::unique_ptr<ml::Model> makePaperModel(ModelFamily Family, uint64_t Seed,
+                                          unsigned NnEpochs = 300,
+                                          size_t RfTrees = 100);
 
 /// Fits a fresh paper-configured model on \p Training; asserts success
-/// (experiment datasets are well formed by construction). With \p Algo ==
-/// Quantized (the default follows --infer-algo / SLOPE_INFER_ALGO), the
-/// fitted model is wrapped in its fixed-point twin, calibrated on
-/// \p Training — never silently: a family without an integer kernel (RF,
-/// kNN) aborts with ml::QuantizedModel::build's error.
-std::unique_ptr<ml::Model>
-fitPaperModel(ModelFamily Family, uint64_t Seed, const ml::Dataset &Training,
-              ml::InferenceAlgorithm Algo = ml::defaultInferenceAlgorithm());
+/// (experiment datasets are well formed by construction).
+std::unique_ptr<ml::Model> fitPaperModel(ModelFamily Family, uint64_t Seed,
+                                         const ml::Dataset &Training);
 
 } // namespace core
 } // namespace slope

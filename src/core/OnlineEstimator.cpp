@@ -6,6 +6,7 @@
 
 #include "core/OnlineEstimator.h"
 
+#include "ml/QuantizedModel.h"
 #include "pmc/CounterScheduler.h"
 
 using namespace slope;

@@ -107,45 +107,6 @@ core::renderModelFamilyTable(const std::string &Caption,
   return T.render();
 }
 
-std::string core::renderTable6(const ClassBCResult &Result) {
-  TablePrinter T({"", "PMC", "Correlation", "Additivity err (%)"});
-  T.setCaption("Table 6. Additive and non-additive PMCs with their "
-               "correlation with dynamic energy.");
-  for (size_t I = 0; I < Result.Pa.size(); ++I) {
-    const PmcCorrelationRow &Row = Result.Pa[I];
-    T.addRow({"X" + std::to_string(I + 1), Row.Name,
-              str::fixed(Row.Correlation, 3),
-              str::fixed(Row.AdditivityErrorPct, 2)});
-  }
-  for (size_t I = 0; I < Result.Pna.size(); ++I) {
-    const PmcCorrelationRow &Row = Result.Pna[I];
-    T.addRow({"Y" + std::to_string(I + 1), Row.Name,
-              str::fixed(Row.Correlation, 3),
-              str::fixed(Row.AdditivityErrorPct, 2)});
-  }
-  return T.render();
-}
-
-std::string core::renderTable7(const ClassBCResult &Result) {
-  TablePrinter T({"Model", "PMCs", "Prediction errors [Min, Avg, Max]"});
-  T.setCaption("Table 7. Prediction accuracies of LR, RF, and NN models. "
-               "(a) Class B: nine PMCs. (b) Class C: four PMCs.");
-  auto SetName = [&](const ModelEvalRow &Row) {
-    if (str::contains(Row.Label, "NA4"))
-      return std::string("PNA4");
-    if (str::contains(Row.Label, "A4"))
-      return std::string("PA4");
-    if (str::contains(Row.Label, "NA"))
-      return std::string("PNA");
-    return std::string("PA");
-  };
-  for (const ModelEvalRow &Row : Result.ClassB)
-    T.addRow({Row.Label, SetName(Row), Row.Errors.str()});
-  for (const ModelEvalRow &Row : Result.ClassC)
-    T.addRow({Row.Label, SetName(Row), Row.Errors.str()});
-  return T.render();
-}
-
 std::string core::renderClassDPlatforms(const ClassDResult &Result) {
   TablePrinter T({"Platform", "Canonical counters", "Additive subset"});
   T.setCaption("Class D platform zoo: canonical cross-architecture "

@@ -34,12 +34,6 @@ std::string renderModelFamilyTable(const std::string &Caption,
                                    const std::vector<ModelEvalRow> &Rows,
                                    bool WithCoefficients);
 
-/// Table 6: PA and PNA sets with their energy correlations.
-std::string renderTable6(const ClassBCResult &Result);
-
-/// Table 7: Class B (a) and Class C (b) prediction errors side by side.
-std::string renderTable7(const ClassBCResult &Result);
-
 /// Class D platform summary: every zoo platform with its canonical
 /// counter set and the empirically additive subset.
 std::string renderClassDPlatforms(const ClassDResult &Result);

@@ -104,39 +104,52 @@ void ServingEngine::enableOnlineRetrain(ml::RlsLinearRegression &OnlineModel,
   }
 }
 
-bool ServingEngine::ingest(uint32_t Tenant, uint32_t App,
-                           const double *Features) {
-  if (Quant) {
-    if (!admit(Tenant, App, Features))
-      return false;
-    // Quantize once at the door and route straight to the owning shard's
-    // batch; the rest of the pipeline is integer, and the staged row is
-    // half the width of the FP path's.
-    Shard &S = Shards[TenantShard[Tenant]];
-    Quant->quantizeRow(Features, S.PendingRows.data() + S.PendingN * Width);
-    S.PendingCells[S.PendingN] = TenantLocal[Tenant] * NumApps + App;
-    if (++S.PendingN == BatchSize)
-      flushShardBatch(S);
-    if (++PendingCount >= EpochSize)
-      foldEpoch();
-    return true;
-  }
-  return ingest(Tenant, App, Features,
-                std::numeric_limits<double>::quiet_NaN());
+inline bool ServingEngine::pushQuantizedRow(uint32_t Tenant, uint32_t App,
+                                            const double *Features) {
+  if (!admit(Tenant, App, Features))
+    return false;
+  // Quantize once at the door and route straight to the owning shard's
+  // batch; the rest of the pipeline is integer, and the staged row is
+  // half the width of the FP path's.
+  Shard &S = Shards[TenantShard[Tenant]];
+  Quant->quantizeRow(Features, S.PendingRows.data() + S.PendingN * Width);
+  S.PendingCells[S.PendingN] = TenantLocal[Tenant] * NumApps + App;
+  if (++S.PendingN == BatchSize)
+    flushShardBatch(S);
+  ++PendingCount;
+  return true;
 }
 
-bool ServingEngine::ingest(uint32_t Tenant, uint32_t App,
-                           const double *Features, double Label) {
-  assert(!Quant && "labeled ingestion requires the FP serving path");
+inline bool ServingEngine::pushFpRow(uint32_t Tenant, uint32_t App,
+                                     const double *Features, double Label) {
   if (!admit(Tenant, App, Features))
     return false;
   PendingTenants.push_back(Tenant);
   PendingApps.push_back(App);
   PendingFeatures.insert(PendingFeatures.end(), Features, Features + Width);
   PendingLabels.push_back(Label);
-  if (++PendingCount >= EpochSize)
-    foldEpoch();
+  ++PendingCount;
   return true;
+}
+
+bool ServingEngine::ingest(uint32_t Tenant, uint32_t App,
+                           const double *Features) {
+  if (!Quant)
+    return ingest(Tenant, App, Features,
+                  std::numeric_limits<double>::quiet_NaN());
+  const bool Staged = pushQuantizedRow(Tenant, App, Features);
+  if (PendingCount >= EpochSize)
+    foldEpoch();
+  return Staged;
+}
+
+bool ServingEngine::ingest(uint32_t Tenant, uint32_t App,
+                           const double *Features, double Label) {
+  assert(!Quant && "labeled ingestion requires the FP serving path");
+  const bool Staged = pushFpRow(Tenant, App, Features, Label);
+  if (PendingCount >= EpochSize)
+    foldEpoch();
+  return Staged;
 }
 
 void ServingEngine::flushShardBatch(Shard &S) {
@@ -150,10 +163,10 @@ void ServingEngine::flushShardBatch(Shard &S) {
     C.EnergyQ += PredQ[I];
     C.Count += 1;
   }
-  S.BatchMs.push_back(std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - Start)
-                          .count());
-  ++S.Batches;
+  Stats.BatchMs.push_back(std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - Start)
+                              .count());
+  ++Stats.Batches;
   S.PendingN = 0;
 }
 
@@ -329,11 +342,6 @@ void ServingEngine::foldEpoch() {
         std::copy_n(S.Cells.data() + Base, NumApps, Out);
       }
     }
-    Stats.Batches += S.Batches;
-    S.Batches = 0;
-    Stats.BatchMs.insert(Stats.BatchMs.end(), S.BatchMs.begin(),
-                         S.BatchMs.end());
-    S.BatchMs.clear();
   }
   Stats.Observations += PendingCount;
   Stats.Epochs += 1;
@@ -350,24 +358,6 @@ void ServingEngine::endEpoch() {
   foldEpoch();
 }
 
-void ServingEngine::stageQuantized(const FleetTrace &Trace, size_t Begin,
-                                   size_t End) {
-  // Same body as the quantized arm of ingest(), minus the per-row call
-  // and epoch bookkeeping: quantize straight into the owning shard's
-  // batch, flush in place when it fills.
-  for (size_t I = Begin; I < End; ++I) {
-    const uint32_t Tenant = Trace.tenant(I);
-    if (!admit(Tenant, Trace.app(I), Trace.features(I)))
-      continue;
-    Shard &S = Shards[TenantShard[Tenant]];
-    Quant->quantizeRow(Trace.features(I), S.PendingRows.data() + S.PendingN * Width);
-    S.PendingCells[S.PendingN] = TenantLocal[Tenant] * NumApps + Trace.app(I);
-    if (++S.PendingN == BatchSize)
-      flushShardBatch(S);
-    ++PendingCount;
-  }
-}
-
 void ServingEngine::replay(const FleetTrace &Trace) {
   assert(Trace.width() == Width && "trace width does not match the engine");
   ScopedPhase Timer(Phase::Serve);
@@ -379,23 +369,16 @@ void ServingEngine::replay(const FleetTrace &Trace) {
   while (I < Trace.size()) {
     const size_t End = std::min(Trace.size(), I + (EpochSize - PendingCount));
     {
+      // ingest()'s staging paths, minus the per-row fold checks; on the
+      // FP path the trace's labels ride along for the retrain fold.
       ScopedPhase IngestTimer(Phase::ServeIngest);
-      if (Quant) {
-        stageQuantized(Trace, I, End);
-      } else {
-        // The FP arm of ingest(), minus the per-row call and fold checks;
-        // the trace's labels ride along for the retrain fold.
-        for (size_t R = I; R < End; ++R) {
-          const double *X = Trace.features(R);
-          if (!admit(Trace.tenant(R), Trace.app(R), X))
-            continue;
-          PendingTenants.push_back(Trace.tenant(R));
-          PendingApps.push_back(Trace.app(R));
-          PendingFeatures.insert(PendingFeatures.end(), X, X + Width);
-          PendingLabels.push_back(Trace.label(R));
-          ++PendingCount;
-        }
-      }
+      if (Quant)
+        for (size_t R = I; R < End; ++R)
+          pushQuantizedRow(Trace.tenant(R), Trace.app(R), Trace.features(R));
+      else
+        for (size_t R = I; R < End; ++R)
+          pushFpRow(Trace.tenant(R), Trace.app(R), Trace.features(R),
+                    Trace.label(R));
     }
     I = End;
     if (PendingCount >= EpochSize)

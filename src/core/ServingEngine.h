@@ -111,9 +111,10 @@ struct ServingStats {
   /// so it is bit-identical at any shard/thread count.
   double PredictionAbsErrJ = 0;
   double LabelAbsJ = 0; ///< Sum of |label| over the same observations.
-  /// Wall-clock latency of every predictBatch call, appended in shard
-  /// order at each fold. Values are timing (not deterministic); counts
-  /// are deterministic for a fixed shard count.
+  /// Wall-clock latency of every batch prediction call (predictBatch, or
+  /// the quantized kernel over a shard's batch). The values and their
+  /// order are timing, not deterministic; the count is deterministic for
+  /// a fixed shard count.
   std::vector<double> BatchMs;
 
   /// \returns the \p Q quantile (0..1) of BatchMs, 0 when empty.
@@ -248,10 +249,6 @@ private:
     size_t PendingN = 0;
     /// Quantized path only: reused per-batch prediction-quanta buffer.
     std::vector<int64_t> PredQ;
-    /// Quantized path only: latencies and batch count since the last
-    /// fold (the FP fold records its batches in Stats directly).
-    std::vector<double> BatchMs;
-    uint64_t Batches = 0;
   };
 
   unsigned shardOf(uint32_t Tenant) const { return TenantShard[Tenant]; }
@@ -269,6 +266,21 @@ private:
     return false;
   }
 
+  /// The quantized staging path, shared by ingest() and replay(): admits
+  /// the row, quantizes it straight into its owning shard's batch with
+  /// its accumulation slot, and flushes the batch the moment it fills.
+  /// Counts the row as pending; the caller folds at the epoch boundary.
+  /// \returns whether the row was admitted.
+  bool pushQuantizedRow(uint32_t Tenant, uint32_t App,
+                        const double *Features);
+
+  /// The FP staging path, shared by ingest() and replay(): admits the
+  /// row and appends it, with \p Label (NaN = unlabeled), to the pending
+  /// columns. Counts the row as pending; the caller folds at the epoch
+  /// boundary. \returns whether the row was admitted.
+  bool pushFpRow(uint32_t Tenant, uint32_t App, const double *Features,
+                 double Label);
+
   /// Integer fast path: predictQuantizedMany straight over the shard's
   /// staged int32 batch into its quanta accumulators — no Dataset
   /// assembly, no allocation, no FP, no index gather. Called the moment a
@@ -277,15 +289,9 @@ private:
   /// ceil(rows / BatchSize) exactly. The kernel is cheap enough that
   /// running it inline beats shipping rows to fold-time tasks: the batch
   /// buffer stays cache-hot instead of round-tripping an epoch of rows
-  /// through memory.
+  /// through memory. Runs on the caller's thread only, so it records its
+  /// latency and batch count in Stats directly.
   void flushShardBatch(Shard &S);
-
-  /// Bulk quantized staging for replay(): stages trace observations
-  /// [Begin, End) exactly as per-row ingest would (same rows, same
-  /// per-shard order, same cell slots, same flush points — replay results
-  /// are identical), minus the per-row call overhead. [Begin, End) must
-  /// fit in the current epoch.
-  void stageQuantized(const FleetTrace &Trace, size_t Begin, size_t End);
 
   /// Partitions pending observations by shard (stable), runs every
   /// shard's batches through one pool loop, adds the predictions to their
@@ -330,8 +336,8 @@ private:
 
   // Pending (unprocessed) observations, columnar like the trace (FP path
   // only — a quantized engine stages rows pre-quantized and pre-routed in
-  // the shards' PendingRows/PendingCells; ingest is the only place its
-  // features exist as doubles).
+  // the shards' PendingRows/PendingCells; pushQuantizedRow is the only
+  // place its features exist as doubles).
   std::vector<uint32_t> PendingTenants;
   std::vector<uint32_t> PendingApps;
   std::vector<double> PendingFeatures; ///< Flat row-major (FP path).

@@ -35,31 +35,6 @@ DatasetPresort::DatasetPresort(const Dataset &Training)
   }
 }
 
-Expected<bool> DecisionTree::fit(const Dataset &Training) {
-  std::vector<size_t> AllRows(Training.numRows());
-  std::iota(AllRows.begin(), AllRows.end(), size_t{0});
-  return fitRows(Training, AllRows);
-}
-
-Expected<bool> DecisionTree::fitRows(const Dataset &Training,
-                                     const std::vector<size_t> &RowIndices,
-                                     const DatasetPresort *Master) {
-  if (RowIndices.empty())
-    return makeError("cannot fit a tree on an empty dataset");
-  if (Training.numFeatures() == 0)
-    return makeError("cannot fit a tree without features");
-  Nodes.clear();
-  // Every leaf holds >= 1 sample and internal nodes have two children, so
-  // a tree over P samples has at most 2P - 1 nodes; reserving up front
-  // keeps node creation allocation-free during growth.
-  Nodes.reserve(2 * RowIndices.size() - 1);
-  MaxFittedDepth = 0;
-
-  fitPresorted(Training, RowIndices, Master);
-  Fitted = true;
-  return true;
-}
-
 //===----------------------------------------------------------------------===//
 // Presorted growth
 //===----------------------------------------------------------------------===//
@@ -69,14 +44,19 @@ namespace {
 struct WorkItem {
   uint32_t Start, End;
   unsigned Depth;
-  int32_t Parent;
-  bool IsLeft;
+  /// The parent's node index and which of its children this node is;
+  /// Parent is UINT32_MAX for the root.
+  uint32_t Parent, Side;
 };
 
-/// Reusable scratch arena for fitPresorted. Thread-local so ensembles
+/// Reusable scratch arena for growTree. Thread-local so ensembles
 /// fitting many trees per thread pay the allocations once; every vector
 /// is resized (never shrunk) and fully overwritten before use.
 struct GrowScratch {
+  /// The tree being grown. Every leaf holds >= 1 sample and internal
+  /// nodes have two children, so a tree over P samples has at most
+  /// 2P - 1 nodes; with that capacity node creation never allocates.
+  std::vector<FlatNode> Nodes;
   std::vector<double> FeatVal; // FeatVal[f*P + s]
   std::vector<double> SampleTarget;
   /// Two sets of F + 1 index arrays, [a*P + i]: arrays 0..F-1 hold each
@@ -216,12 +196,18 @@ double splitScore(double L, double Total, size_t J, size_t N) {
 }
 } // namespace
 
-void DecisionTree::fitPresorted(const Dataset &Training,
-                                const std::vector<size_t> &RowIndices,
-                                const DatasetPresort *Master) {
+FlatTree ml::growTree(const Dataset &Training,
+                      const std::vector<size_t> &RowIndices,
+                      const DatasetPresort &Presort,
+                      const DecisionTreeOptions &Options, Rng TreeRng) {
   const size_t P = RowIndices.size();
   const size_t F = Training.numFeatures();
+  assert(P > 0 && "cannot grow a tree on an empty sample");
+  assert(F > 0 && "cannot grow a tree without features");
   assert(P <= UINT32_MAX && "sample count exceeds the 32-bit index width");
+  assert(Presort.numRows() == Training.numRows() &&
+         Presort.numFeatures() == F &&
+         "presort built from a different dataset");
 
   // --- Per-tree scratch setup: every allocation of the fit happens here.
   // Feature values and targets are gathered per sample id (0..P-1, in the
@@ -242,72 +228,52 @@ void DecisionTree::fitPresorted(const Dataset &Training,
       Dst[S] = Col[RowIndices[S]];
   }
 
-  // Each feature's sample ids in ascending (value, target) order. Ties on
-  // (value, target) carry equal targets, so each node's prefix sweep
-  // accumulates targets in a bit-identical order no matter how the ties
-  // are broken; stable partitioning preserves the order in every
-  // descendant, which is what keeps the trees bit-identical to the seed
-  // grower's. Two slack entries let the bucket gather below store
-  // unconditionally.
+  // Each feature's sample ids in ascending (value, target) order, derived
+  // from the presort's row ordering with a linear bucket gather: emit each
+  // row's sample ids (ascending) in presort row order. Ties on (value,
+  // target) carry equal targets, so each node's prefix sweep accumulates
+  // targets in a bit-identical order no matter how the ties are broken;
+  // stable partitioning preserves the order in every descendant, which is
+  // what keeps the trees bit-identical to the seed grower's. Two slack
+  // entries let the gather store unconditionally.
   const size_t Arrays = F + 1;
   TLS.Order[0].resize(Arrays * P + 2);
   TLS.Order[1].resize(Arrays * P);
   uint32_t *const Sorted0 = TLS.Order[0].data();
-  if (Master) {
-    // Derive from the forest-wide row ordering with a linear bucket
-    // gather: emit each row's sample ids (ascending) in master row order.
-    assert(Master->numRows() == Training.numRows() &&
-           Master->numFeatures() == F &&
-           "presort built from a different dataset");
-    const size_t NR = Training.numRows();
-    TLS.BucketStart.assign(NR + 1, 0);
-    TLS.Bucket.resize(P + 2);
-    uint32_t *BucketStart = TLS.BucketStart.data();
-    uint32_t *Bucket = TLS.Bucket.data();
-    for (size_t S = 0; S < P; ++S)
-      ++BucketStart[RowIndices[S] + 1];
-    for (size_t R = 0; R < NR; ++R)
-      BucketStart[R + 1] += BucketStart[R];
-    // Fill through the row starts, then shift them back one row.
-    for (size_t S = 0; S < P; ++S)
-      Bucket[BucketStart[RowIndices[S]]++] = static_cast<uint32_t>(S);
-    for (size_t R = NR; R > 0; --R)
-      BucketStart[R] = BucketStart[R - 1];
-    BucketStart[0] = 0;
-    for (size_t Feat = 0; Feat < F; ++Feat) {
-      const uint32_t *MasterOrder = Master->order(Feat);
-      uint32_t *Ids = Sorted0 + Feat * P;
-      size_t K = 0;
-      // A row holds a bootstrap sample 0, 1, 2 or more times at random,
-      // so a loop over its bucket would mispredict its exit. Store the
-      // first two slots unconditionally (stores past the row's count are
-      // overwritten by the next row, or land in the slack) and loop only
-      // for the rare rows with three or more copies.
-      for (size_t M = 0; M < NR; ++M) {
-        uint32_t Row = MasterOrder[M];
-        uint32_t B = BucketStart[Row], Copies = BucketStart[Row + 1] - B;
-        Ids[K] = Bucket[B];
-        Ids[K + 1] = Bucket[B + 1];
-        for (uint32_t C = 2; C < Copies; ++C)
-          Ids[K + C] = Bucket[B + C];
-        K += Copies;
-      }
-      assert(K == P && "bucket gather dropped samples");
+  const size_t NR = Training.numRows();
+  TLS.BucketStart.assign(NR + 1, 0);
+  TLS.Bucket.resize(P + 2);
+  uint32_t *BucketStart = TLS.BucketStart.data();
+  uint32_t *Bucket = TLS.Bucket.data();
+  for (size_t S = 0; S < P; ++S)
+    ++BucketStart[RowIndices[S] + 1];
+  for (size_t R = 0; R < NR; ++R)
+    BucketStart[R + 1] += BucketStart[R];
+  // Fill through the row starts, then shift them back one row.
+  for (size_t S = 0; S < P; ++S)
+    Bucket[BucketStart[RowIndices[S]]++] = static_cast<uint32_t>(S);
+  for (size_t R = NR; R > 0; --R)
+    BucketStart[R] = BucketStart[R - 1];
+  BucketStart[0] = 0;
+  for (size_t Feat = 0; Feat < F; ++Feat) {
+    const uint32_t *PresortOrder = Presort.order(Feat);
+    uint32_t *Ids = Sorted0 + Feat * P;
+    size_t K = 0;
+    // A row holds a bootstrap sample 0, 1, 2 or more times at random, so
+    // a loop over its bucket would mispredict its exit. Store the first
+    // two slots unconditionally (stores past the row's count are
+    // overwritten by the next row, or land in the slack) and loop only
+    // for the rare rows with three or more copies.
+    for (size_t M = 0; M < NR; ++M) {
+      uint32_t Row = PresortOrder[M];
+      uint32_t B = BucketStart[Row], Copies = BucketStart[Row + 1] - B;
+      Ids[K] = Bucket[B];
+      Ids[K + 1] = Bucket[B + 1];
+      for (uint32_t C = 2; C < Copies; ++C)
+        Ids[K + C] = Bucket[B + C];
+      K += Copies;
     }
-  } else {
-    // Standalone tree: one comparison sort per feature per tree.
-    for (size_t Feat = 0; Feat < F; ++Feat) {
-      uint32_t *Ids = Sorted0 + Feat * P;
-      std::iota(Ids, Ids + P, uint32_t{0});
-      const double *Vals = &FeatVal[Feat * P];
-      std::sort(Ids, Ids + P, [&](uint32_t A, uint32_t B) {
-        if (Vals[A] != Vals[B])
-          return Vals[A] < Vals[B];
-        if (SampleTarget[A] != SampleTarget[B])
-          return SampleTarget[A] < SampleTarget[B];
-        return A < B;
-      });
-    }
+    assert(K == P && "bucket gather dropped samples");
   }
   // Sample ids in insertion (caller row) order; node means accumulate over
   // this array so their floating-point order matches the seed recursion.
@@ -332,13 +298,17 @@ void DecisionTree::fitPresorted(const Dataset &Training,
   double *Bound = TLS.Bound.data();
   const double *InvCount = TLS.InvCount.data();
   std::vector<size_t> &FeatCand = TLS.FeatCand;
+  std::vector<FlatNode> &Nodes = TLS.Nodes;
+  Nodes.clear();
+  Nodes.reserve(2 * P - 1);
+  uint32_t FittedDepth = 0;
 
   // Explicit DFS work stack; left pushed last so nodes are created in the
   // seed recursion's pre-order and TreeRng draws in the same sequence.
   std::vector<WorkItem> &Stack = TLS.Stack;
   Stack.clear();
   Stack.reserve(std::min<size_t>(Options.MaxDepth, P) + 4);
-  Stack.push_back({0, static_cast<uint32_t>(P), 0, -1, false});
+  Stack.push_back({0, static_cast<uint32_t>(P), 0, UINT32_MAX, 0});
 
   if (detail::TreeGrowPhaseProbe)
     detail::TreeGrowPhaseProbe(true);
@@ -351,15 +321,12 @@ void DecisionTree::fitPresorted(const Dataset &Training,
   while (!Stack.empty()) {
     WorkItem Item = Stack.back();
     Stack.pop_back();
-    int32_t NodeId = static_cast<int32_t>(Nodes.size());
-    Nodes.emplace_back(); // within the fitRows reservation: no allocation
-    MaxFittedDepth = std::max(MaxFittedDepth, Item.Depth);
-    if (Item.Parent >= 0) {
-      if (Item.IsLeft)
-        Nodes[Item.Parent].Left = NodeId;
-      else
-        Nodes[Item.Parent].Right = NodeId;
-    }
+    // A new node is a self-looping leaf until a split is found for it.
+    const uint32_t NodeId = static_cast<uint32_t>(Nodes.size());
+    Nodes.push_back({0, 0, {NodeId, NodeId}}); // within the reservation
+    FittedDepth = std::max(FittedDepth, Item.Depth);
+    if (Item.Parent != UINT32_MAX)
+      Nodes[Item.Parent].Child[Item.Side] = NodeId;
 
     const uint32_t Count = Item.End - Item.Start;
     const uint32_t *Cur = TLS.Order[Item.Depth & 1].data();
@@ -368,7 +335,7 @@ void DecisionTree::fitPresorted(const Dataset &Training,
       double Sum = 0;
       for (uint32_t I = 0; I < Count; ++I)
         Sum += Target[Insert[I]];
-      Nodes[NodeId].LeafValue = Sum / static_cast<double>(Count);
+      Nodes[NodeId].Value = Sum / static_cast<double>(Count);
       continue;
     }
 
@@ -388,8 +355,8 @@ void DecisionTree::fitPresorted(const Dataset &Training,
     // features).
     for (size_t C0 = 0; C0 < NumCand;) {
       const size_t K = std::min<size_t>(NumCand - C0, 3);
-      const uint32_t *Ids[3];
-      const double *Vals[3];
+      const uint32_t *Ids[3] = {};
+      const double *Vals[3] = {};
       for (size_t C = 0; C < K; ++C) {
         Ids[C] = Cur + FeatCand[C0 + C] * P + Item.Start;
         Vals[C] = &FeatVal[FeatCand[C0 + C] * P];
@@ -403,7 +370,7 @@ void DecisionTree::fitPresorted(const Dataset &Training,
                    : targetChains<3>(Insert, Ids, Vals, Target, Count, Pre,
                                      Val, P);
       if (C0 == 0)
-        Nodes[NodeId].LeafValue = Sum / static_cast<double>(Count);
+        Nodes[NodeId].Value = Sum / static_cast<double>(Count);
       C0 += K;
     }
 
@@ -490,59 +457,19 @@ void DecisionTree::fitPresorted(const Dataset &Training,
       }
     }
 
-    Nodes[NodeId].Feature = BestFeature;
-    Nodes[NodeId].Threshold = BestThreshold;
-    Stack.push_back({Mid, Item.End, Item.Depth + 1, NodeId, false});
-    Stack.push_back({Item.Start, Mid, Item.Depth + 1, NodeId, true});
+    Nodes[NodeId].Value = BestThreshold;
+    Nodes[NodeId].Feature = static_cast<uint32_t>(BestFeature);
+    Stack.push_back({Mid, Item.End, Item.Depth + 1, NodeId, 1});
+    Stack.push_back({Item.Start, Mid, Item.Depth + 1, NodeId, 0});
   }
 
   if (detail::TreeGrowPhaseProbe)
     detail::TreeGrowPhaseProbe(false);
-}
 
-//===----------------------------------------------------------------------===//
-// Inference
-//===----------------------------------------------------------------------===//
-
-double DecisionTree::predict(const std::vector<double> &Features) const {
-  assert(Fitted && "predicting with an unfitted tree");
-  assert(!Nodes.empty() && "fitted tree has no nodes");
-  int32_t Id = 0;
-  while (!Nodes[Id].isLeaf()) {
-    assert(Nodes[Id].Feature < Features.size() &&
-           "feature width does not match the fitted tree");
-    Id = Features[Nodes[Id].Feature] <= Nodes[Id].Threshold ? Nodes[Id].Left
-                                                            : Nodes[Id].Right;
-  }
-  return Nodes[Id].LeafValue;
-}
-
-FlatTree DecisionTree::flatten() const {
-  assert(Fitted && "flattening an unfitted tree");
+  // An exact-size copy: a stored tree keeping the 2P - 1 reservation
+  // would be several times larger.
   FlatTree Out;
-  Out.Depth = MaxFittedDepth;
-  Out.Nodes.reserve(Nodes.size());
-  for (uint32_t I = 0; I < Nodes.size(); ++I) {
-    const Node &N = Nodes[I];
-    if (N.isLeaf())
-      Out.Nodes.push_back({N.LeafValue, 0, {I, I}});
-    else
-      Out.Nodes.push_back({N.Threshold, static_cast<uint32_t>(N.Feature),
-                           {static_cast<uint32_t>(N.Left),
-                            static_cast<uint32_t>(N.Right)}});
-  }
-  return Out;
-}
-
-std::vector<double> DecisionTree::predictBatch(const Dataset &Data) const {
-  assert(Fitted && "predicting with an unfitted tree");
-  std::vector<double> Out(Data.numRows());
-  for (size_t R = 0; R < Data.numRows(); ++R) {
-    const Node *N = &Nodes[0];
-    while (!N->isLeaf())
-      N = &Nodes[Data.column(N->Feature)[R] <= N->Threshold ? N->Left
-                                                            : N->Right];
-    Out[R] = N->LeafValue;
-  }
+  Out.Nodes.assign(Nodes.begin(), Nodes.end());
+  Out.Depth = FittedDepth;
   return Out;
 }

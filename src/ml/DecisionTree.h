@@ -6,19 +6,20 @@
 ///
 /// \file
 /// A CART-style regression tree: greedy variance-reduction splits on one
-/// feature at a time, mean prediction at the leaves. Used standalone and
-/// as the base learner of ml::RandomForest.
+/// feature at a time, mean prediction at the leaves. The base learner of
+/// ml::RandomForest, grown straight into the flat form every forest walk
+/// reads (ml/FlatForest.h).
 ///
-/// Growth presorts: each feature's sample indices are sorted once per tree
-/// by (value, target) — or derived in linear time from a forest-wide
-/// DatasetPresort — and nodes are grown from an explicit work stack by
-/// stable partitioning of the presorted index arrays into a second set
-/// (the two alternate by depth), so the per-node cost is linear and the
-/// growth loop performs zero heap allocations after the per-tree setup.
-/// Per node, one pass runs the candidates' target prefix sums and the
-/// node's mean sum as interleaved add chains, a division-free pass bounds
-/// every split score, and only positions whose bound can reach the best
-/// score are scored exactly (DecisionTree.cpp proves the bound).
+/// Growth presorts: each feature's sample indices are derived in linear
+/// time from a forest-wide DatasetPresort, and nodes are grown from an
+/// explicit work stack by stable partitioning of the presorted index
+/// arrays into a second set (the two alternate by depth), so the per-node
+/// cost is linear and the growth loop performs zero heap allocations
+/// after the per-tree setup. Per node, one pass runs the candidates'
+/// target prefix sums and the node's mean sum as interleaved add chains,
+/// a division-free pass bounds every split score, and only positions
+/// whose bound can reach the best score are scored exactly
+/// (DecisionTree.cpp proves the bound).
 ///
 /// The seed grower re-sorted the (value, target) pairs at every node. The
 /// partition keeps every floating-point accumulation in that grower's
@@ -31,11 +32,13 @@
 #ifndef SLOPE_ML_DECISIONTREE_H
 #define SLOPE_ML_DECISIONTREE_H
 
+#include "ml/Dataset.h"
 #include "ml/FlatForest.h"
-#include "ml/Model.h"
 #include "support/Rng.h"
 
+#include <cassert>
 #include <cstdint>
+#include <vector>
 
 namespace slope {
 namespace ml {
@@ -77,66 +80,16 @@ struct DecisionTreeOptions {
   size_t MaxFeatures = 0;
 };
 
-/// CART regression tree.
-class DecisionTree : public Model {
-public:
-  explicit DecisionTree(DecisionTreeOptions Options = DecisionTreeOptions(),
-                        Rng TreeRng = Rng(0x7EE5))
-      : Options(Options), TreeRng(TreeRng) {}
-
-  Expected<bool> fit(const Dataset &Training) override;
-
-  /// Fits on the given subset of \p Training rows (bootstrap support).
-  /// \p Master, when non-null, must be a DatasetPresort of \p Training;
-  /// growth then derives each feature's sample ordering from it in linear
-  /// time instead of sorting per tree. Ensembles build
-  /// one DatasetPresort and share it across all their trees.
-  Expected<bool> fitRows(const Dataset &Training,
-                         const std::vector<size_t> &RowIndices,
-                         const DatasetPresort *Master = nullptr);
-
-  double predict(const std::vector<double> &Features) const override;
-  std::vector<double> predictBatch(const Dataset &Data) const override;
-  std::string name() const override { return "Tree"; }
-
-  /// \returns the number of nodes in the fitted tree.
-  size_t numNodes() const { return Nodes.size(); }
-
-  /// \returns the fitted tree in the flat inference form of
-  /// ml/FlatForest.h. The one producer of that form: RandomForest stores
-  /// its trees through it.
-  FlatTree flatten() const;
-
-  /// \returns the maximum depth actually reached (root = 0), tracked
-  /// during growth.
-  unsigned fittedDepth() const {
-    assert(Fitted && "depth of an unfitted tree");
-    return MaxFittedDepth;
-  }
-
-private:
-  struct Node {
-    /// Split feature; SIZE_MAX marks a leaf.
-    size_t Feature = SIZE_MAX;
-    double Threshold = 0;   ///< Go left if x[Feature] <= Threshold.
-    double LeafValue = 0;   ///< Mean target (leaves only).
-    int32_t Left = -1;
-    int32_t Right = -1;
-
-    bool isLeaf() const { return Feature == SIZE_MAX; }
-  };
-
-  /// Presorted growth (see file comment).
-  void fitPresorted(const Dataset &Training,
-                    const std::vector<size_t> &RowIndices,
-                    const DatasetPresort *Master);
-
-  DecisionTreeOptions Options;
-  Rng TreeRng;
-  std::vector<Node> Nodes;
-  unsigned MaxFittedDepth = 0;
-  bool Fitted = false;
-};
+/// Grows one CART tree over \p RowIndices of \p Training (duplicates
+/// allowed, as in a bootstrap sample; at least one row, and \p Training
+/// has at least one feature), drawing the per-node mtry shuffles from
+/// \p TreeRng. \p Presort must be a DatasetPresort of \p Training: each
+/// feature's sample ordering is derived from it in linear time. \returns
+/// the tree in the flat form of ml/FlatForest.h, nodes in pre-order.
+FlatTree growTree(const Dataset &Training,
+                  const std::vector<size_t> &RowIndices,
+                  const DatasetPresort &Presort,
+                  const DecisionTreeOptions &Options, Rng TreeRng);
 
 namespace detail {
 /// Test hook bracketing the presorted growth loop: called with true right

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// The common interface of the three model families the paper evaluates
-/// (linear regression, random forests, neural networks). Experiments treat
-/// models uniformly: fit on a training Dataset, predict on test rows.
+/// (linear regression, random forests, neural networks) and of the
+/// nearest-neighbour baseline. Experiments treat models uniformly: fit on
+/// a training Dataset, predict on test rows.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,12 +46,6 @@ public:
   /// vector copy and virtual dispatch. Overrides must produce results
   /// bit-identical to the row-by-row path.
   virtual std::vector<double> predictBatch(const Dataset &Data) const;
-
-  /// Predicts every row of \p Data (alias of predictBatch, kept for
-  /// existing call sites).
-  std::vector<double> predictAll(const Dataset &Data) const {
-    return predictBatch(Data);
-  }
 };
 
 } // namespace ml

@@ -49,13 +49,9 @@ Expected<bool> RandomForest::fit(const Dataset &Training) {
     for (size_t R = 0; R < N; ++R)
       Rows[R * NumFeat + F] = Col[R];
   }
-  // Each task stores its tree's flat form and releases the DecisionTree
-  // that grew it; a failed fit leaves its tree without nodes.
-  FlatForest Grown;
-  Grown.Trees.resize(Options.NumTrees);
+  Flat.Trees.assign(Options.NumTrees, FlatTree());
   std::vector<std::vector<uint32_t>> OobRows(Options.NumTrees);
   std::vector<std::vector<double>> OobPreds(Options.NumTrees);
-  std::vector<std::string> FitErrors(Options.NumTrees);
 
   parallelFor(0, Options.NumTrees, 1, [&](size_t T) {
     Rng TreeRng = ForestRng.fork(T);
@@ -68,35 +64,25 @@ Expected<bool> RandomForest::fit(const Dataset &Training) {
 
     DecisionTreeOptions TreeOptions = Options.Tree;
     TreeOptions.MaxFeatures = Mtry;
-    DecisionTree Tree(TreeOptions, TreeRng.fork("splits"));
-    Expected<bool> Fit = Tree.fitRows(Training, Bootstrap, &Master);
-    if (!Fit) {
-      FitErrors[T] = Fit.error().message();
-      return;
-    }
+    FlatForest One;
+    One.Trees.push_back(growTree(Training, Bootstrap, Master, TreeOptions,
+                                 TreeRng.fork("splits")));
 
-    // The out-of-bag rows, ascending, each walked through the tree's flat
-    // form: the leaf predict() reaches, without its per-level branch.
+    // The out-of-bag rows, ascending, each walked through the tree.
     std::vector<uint32_t> Oob;
     for (size_t R = 0; R < N; ++R)
       if (!InBag[R])
         Oob.push_back(static_cast<uint32_t>(R));
     std::vector<double> Preds(Oob.size());
-    FlatForest One;
-    One.Trees.push_back(Tree.flatten());
     sumForestLeaves(
         One, Oob.size(),
         [&](size_t I) { return Rows.data() + Oob[I] * NumFeat; },
         Preds.data());
-    Grown.Trees[T] = std::move(One.Trees.front());
+    Flat.Trees[T] = std::move(One.Trees.front());
     OobRows[T] = std::move(Oob);
     OobPreds[T] = std::move(Preds);
   });
 
-  for (size_t T = 0; T < Options.NumTrees; ++T)
-    if (Grown.Trees[T].Nodes.empty())
-      return makeError(FitErrors[T]);
-  Flat = std::move(Grown);
   Width = NumFeat;
 
   // Out-of-bag bookkeeping: sum/count of OOB predictions per row, in tree

@@ -18,6 +18,7 @@
 #define SLOPE_ML_RANDOMFOREST_H
 
 #include "ml/DecisionTree.h"
+#include "ml/Model.h"
 
 namespace slope {
 namespace ml {
@@ -32,9 +33,9 @@ struct RandomForestOptions {
   uint64_t Seed = 0xF0535;
 };
 
-/// Bagged CART ensemble. After fit the forest keeps only the flat form
-/// of its trees (ml/FlatForest.h); the DecisionTree objects that grew them
-/// are released inside each tree's fit task.
+/// Bagged CART ensemble. Each tree is grown straight into its flat form
+/// (ml::growTree, ml/FlatForest.h), which the out-of-bag pass and every
+/// prediction walk.
 class RandomForest : public Model {
 public:
   explicit RandomForest(RandomForestOptions Options = RandomForestOptions())

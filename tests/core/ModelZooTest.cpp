@@ -6,6 +6,7 @@
 
 #include "core/ModelZoo.h"
 
+#include "ml/QuantizedModel.h"
 #include "support/Rng.h"
 
 #include <cmath>
@@ -39,12 +40,6 @@ ml::Dataset miniDataset(size_t Width, uint64_t Seed) {
   return Data;
 }
 
-/// Restores the process-wide default algorithm when a test returns.
-struct InferenceAlgorithmGuard {
-  ml::InferenceAlgorithm Saved = ml::defaultInferenceAlgorithm();
-  ~InferenceAlgorithmGuard() { ml::setDefaultInferenceAlgorithm(Saved); }
-};
-
 } // namespace
 
 TEST(ModelZoo, FamilyNames) {
@@ -55,46 +50,49 @@ TEST(ModelZoo, FamilyNames) {
 }
 
 // Every family must construct, train, and predict in FP, and each family
-// with an integer kernel (LR, the identity NN) also quantized — where the
-// quantized variant must actually be the fixed-point twin, never a silent
-// fall-back to the floating-point model.
+// with an integer kernel (LR, the identity NN) must also serve through its
+// fixed-point twin. (The "never a silent FP fallback" check of a trained
+// quantized deployment is OnlineEstimatorTest's.)
 TEST(ModelZoo, RoundTripEveryFamilyAndAlgorithm) {
   ml::Dataset Train = miniDataset(4, 0x200);
   for (ModelFamily Family : AllFamilies) {
-    for (ml::InferenceAlgorithm Algo :
-         {ml::InferenceAlgorithm::Fp, ml::InferenceAlgorithm::Quantized}) {
-      const bool Quantized = Algo == ml::InferenceAlgorithm::Quantized;
-      if (Quantized && Family != ModelFamily::LR && Family != ModelFamily::NN)
-        continue;
-      SCOPED_TRACE(std::string(modelFamilyName(Family)) + "/" +
-                   (Quantized ? "quantized" : "fp"));
-      std::unique_ptr<ml::Model> M = fitPaperModel(Family, 1, Train, Algo);
-      ASSERT_NE(M, nullptr);
-      auto *Quant = dynamic_cast<ml::QuantizedModel *>(M.get());
-      if (Quantized) {
-        ASSERT_NE(Quant, nullptr) << "silent FP fallback";
-        EXPECT_EQ(M->name(),
-                  std::string("Q") + Quant->reference().name());
-      } else {
-        EXPECT_EQ(Quant, nullptr);
-      }
-      const double P = M->predict(Train.row(0));
-      EXPECT_TRUE(std::isfinite(P));
-    }
+    SCOPED_TRACE(modelFamilyName(Family));
+    std::unique_ptr<ml::Model> M = fitPaperModel(Family, 1, Train);
+    ASSERT_NE(M, nullptr);
+    EXPECT_TRUE(std::isfinite(M->predict(Train.row(0))));
+    if (Family != ModelFamily::LR && Family != ModelFamily::NN)
+      continue;
+    auto Q = ml::QuantizedModel::build(std::move(M), Train);
+    ASSERT_TRUE(bool(Q)) << Q.error().message();
+    EXPECT_EQ((*Q)->name(), std::string("Q") + modelFamilyName(Family));
+    EXPECT_TRUE(std::isfinite((*Q)->predict(Train.row(0))));
   }
 }
 
-// With no explicit algorithm argument, fitPaperModel follows the
-// process-wide default (the --infer-algo / SLOPE_INFER_ALGO knob).
-TEST(ModelZoo, DefaultAlgorithmFollowsGlobal) {
-  InferenceAlgorithmGuard Guard;
-  ml::Dataset Train = miniDataset(3, 0xD0);
+// The budget arguments size the RF and NN fits; the defaults are the
+// paper's 100 trees and 300 epochs.
+TEST(ModelZoo, BudgetArgumentsSizeTheFits) {
+  ml::Dataset Train = miniDataset(3, 0xB0);
+  std::unique_ptr<ml::Model> Paper = makePaperModel(ModelFamily::RF, 1);
+  std::unique_ptr<ml::Model> Small =
+      makePaperModel(ModelFamily::RF, 1, /*NnEpochs=*/300, /*RfTrees=*/7);
+  ASSERT_TRUE(bool(Paper->fit(Train)));
+  ASSERT_TRUE(bool(Small->fit(Train)));
+  EXPECT_EQ(static_cast<ml::RandomForest &>(*Paper).numTrees(), 100u);
+  EXPECT_EQ(static_cast<ml::RandomForest &>(*Small).numTrees(), 7u);
 
-  ml::setDefaultInferenceAlgorithm(ml::InferenceAlgorithm::Quantized);
-  std::unique_ptr<ml::Model> Q = fitPaperModel(ModelFamily::LR, 1, Train);
-  EXPECT_NE(dynamic_cast<ml::QuantizedModel *>(Q.get()), nullptr);
-
-  ml::setDefaultInferenceAlgorithm(ml::InferenceAlgorithm::Fp);
-  std::unique_ptr<ml::Model> F = fitPaperModel(ModelFamily::LR, 1, Train);
-  EXPECT_EQ(dynamic_cast<ml::QuantizedModel *>(F.get()), nullptr);
+  // A 3-epoch paper NN trains exactly as the paper network built by hand
+  // with Epochs = 3.
+  ml::NeuralNetworkOptions Options;
+  Options.HiddenLayers = {16};
+  Options.Transfer = ml::Activation::Identity;
+  Options.Epochs = 3;
+  Options.Seed = 1;
+  ml::NeuralNetwork ByHand(Options);
+  std::unique_ptr<ml::Model> Short =
+      makePaperModel(ModelFamily::NN, 1, /*NnEpochs=*/3, /*RfTrees=*/100);
+  ASSERT_TRUE(bool(ByHand.fit(Train)));
+  ASSERT_TRUE(bool(Short->fit(Train)));
+  EXPECT_EQ(static_cast<ml::NeuralNetwork &>(*Short).finalTrainingLoss(),
+            ByHand.finalTrainingLoss());
 }

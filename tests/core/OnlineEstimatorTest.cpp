@@ -6,6 +6,7 @@
 
 #include "core/OnlineEstimator.h"
 
+#include "ml/QuantizedModel.h"
 #include "pmc/PlatformEvents.h"
 #include "stats/Descriptive.h"
 
@@ -130,6 +131,29 @@ TEST(OnlineEstimator, QuantizedTrainRefusesForestAndKnn) {
     EXPECT_EQ(Estimator.error().message(),
               "model family '" + std::string(modelFamilyName(Family)) +
                   "' has no quantized inference kernel");
+  }
+}
+
+TEST(OnlineEstimator, QuantizedTrainServesTheFixedPointTwin) {
+  // Under --infer-algo quantized, the families with an integer kernel
+  // (LR, the identity NN) serve a QuantizedModel: never a silent FP
+  // fallback under a quantized label, which would let the quantized
+  // serving gate pass vacuously.
+  struct Restore {
+    ml::InferenceAlgorithm Saved = ml::defaultInferenceAlgorithm();
+    ~Restore() { ml::setDefaultInferenceAlgorithm(Saved); }
+  } Guard;
+  ml::setDefaultInferenceAlgorithm(ml::InferenceAlgorithm::Quantized);
+  for (ModelFamily Family : {ModelFamily::LR, ModelFamily::NN}) {
+    Rig R(40 + static_cast<uint64_t>(Family));
+    auto Estimator = OnlineEstimator::train(R.M, R.Meter, pa4(),
+                                            dgemmSweep(), Family, 1);
+    ASSERT_TRUE(bool(Estimator)) << modelFamilyName(Family);
+    const auto *Quant =
+        dynamic_cast<const ml::QuantizedModel *>(&Estimator->model());
+    ASSERT_NE(Quant, nullptr) << "silent FP fallback for "
+                              << modelFamilyName(Family);
+    EXPECT_EQ(Quant->name(), std::string("Q") + modelFamilyName(Family));
   }
 }
 

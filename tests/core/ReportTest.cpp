@@ -71,31 +71,3 @@ TEST(Report, ModelTableWithoutCoefficients) {
   std::string Text = renderModelFamilyTable("Table 4.", {Row}, false);
   EXPECT_EQ(Text.find("Coefficients"), std::string::npos);
 }
-
-TEST(Report, Table6GroupsPaAndPna) {
-  ClassBCResult Result;
-  for (const std::string &Name : pmc::skylakePaNames())
-    Result.Pa.push_back({Name, 0.99, 1.0, true});
-  for (const std::string &Name : pmc::skylakePnaNames())
-    Result.Pna.push_back({Name, 0.5, 40.0, false});
-  std::string Text = renderTable6(Result);
-  EXPECT_NE(Text.find("X9"), std::string::npos);
-  EXPECT_NE(Text.find("Y9"), std::string::npos);
-  EXPECT_NE(Text.find("MEM_LOAD_RETIRED_L3_MISS"), std::string::npos);
-}
-
-TEST(Report, Table7LabelsSetsCorrectly) {
-  ClassBCResult Result;
-  ModelEvalRow Row;
-  Row.Label = "LR-A";
-  Result.ClassB.push_back(Row);
-  Row.Label = "LR-NA";
-  Result.ClassB.push_back(Row);
-  Row.Label = "NN-A4";
-  Result.ClassC.push_back(Row);
-  Row.Label = "NN-NA4";
-  Result.ClassC.push_back(Row);
-  std::string Text = renderTable7(Result);
-  EXPECT_NE(Text.find("| LR-A   | PA "), std::string::npos);
-  EXPECT_NE(Text.find("PNA4"), std::string::npos);
-}

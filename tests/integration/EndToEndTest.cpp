@@ -140,11 +140,8 @@ TEST(EndToEnd, CorrelationSpreadMatchesTable6Shape) {
 
 TEST(EndToEnd, ReportsRenderForMidSizeResults) {
   ClassAResult A = runClassA(midClassA());
-  ClassBCResult B = runClassBC(midClassBC());
   EXPECT_FALSE(renderTable2(A).empty());
   EXPECT_FALSE(renderModelFamilyTable("T3", A.Lr, true).empty());
-  EXPECT_FALSE(renderTable6(B).empty());
-  EXPECT_FALSE(renderTable7(B).empty());
 }
 
 TEST(EndToEnd, FullPipelineByHand) {

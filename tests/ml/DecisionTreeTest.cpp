@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 using namespace slope;
 using namespace slope::ml;
 
@@ -19,34 +21,51 @@ Dataset makeStepData() {
     D.addRow({static_cast<double>(I)}, I < 5 ? 0.0 : 10.0);
   return D;
 }
+
+/// Grows a tree over \p Rows of \p D (all rows when empty).
+FlatTree fitTree(const Dataset &D,
+                 DecisionTreeOptions Options = DecisionTreeOptions(),
+                 std::vector<size_t> Rows = {}) {
+  if (Rows.empty()) {
+    Rows.resize(D.numRows());
+    std::iota(Rows.begin(), Rows.end(), size_t{0});
+  }
+  return growTree(D, Rows, DatasetPresort(D), Options, Rng(0x7EE5));
+}
+
+/// The leaf value \p X reaches, through the forest walk.
+double predict(const FlatTree &Tree, const std::vector<double> &X) {
+  FlatForest One;
+  One.Trees.push_back(Tree);
+  double Sum;
+  sumForestLeaves(One, 1, [&](size_t) { return X.data(); }, &Sum);
+  return Sum;
+}
 } // namespace
 
 TEST(DecisionTree, LearnsStepFunction) {
-  DecisionTree T;
-  ASSERT_TRUE(bool(T.fit(makeStepData())));
-  EXPECT_DOUBLE_EQ(T.predict({2}), 0.0);
-  EXPECT_DOUBLE_EQ(T.predict({7}), 10.0);
+  FlatTree T = fitTree(makeStepData());
+  EXPECT_DOUBLE_EQ(predict(T, {2}), 0.0);
+  EXPECT_DOUBLE_EQ(predict(T, {7}), 10.0);
 }
 
 TEST(DecisionTree, SingleRowIsLeaf) {
   Dataset D({"x"});
   D.addRow({1}, 42);
-  DecisionTree T;
-  ASSERT_TRUE(bool(T.fit(D)));
-  EXPECT_EQ(T.numNodes(), 1u);
-  EXPECT_DOUBLE_EQ(T.predict({99}), 42);
+  FlatTree T = fitTree(D);
+  EXPECT_EQ(T.Nodes.size(), 1u);
+  EXPECT_DOUBLE_EQ(predict(T, {99}), 42);
 }
 
 TEST(DecisionTree, ConstantTargetsStayOneLeaf) {
   Dataset D({"x"});
   for (int I = 0; I < 20; ++I)
     D.addRow({static_cast<double>(I)}, 5.0);
-  DecisionTree T;
-  ASSERT_TRUE(bool(T.fit(D)));
+  FlatTree T = fitTree(D);
   // No variance to reduce: splitting gains nothing, but implementations
   // may still split on ties; prediction must remain exact either way.
-  EXPECT_DOUBLE_EQ(T.predict({3}), 5.0);
-  EXPECT_DOUBLE_EQ(T.predict({-100}), 5.0);
+  EXPECT_DOUBLE_EQ(predict(T, {3}), 5.0);
+  EXPECT_DOUBLE_EQ(predict(T, {-100}), 5.0);
 }
 
 TEST(DecisionTree, RespectsMaxDepth) {
@@ -57,9 +76,7 @@ TEST(DecisionTree, RespectsMaxDepth) {
   Dataset D({"x"});
   for (int I = 0; I < 64; ++I)
     D.addRow({static_cast<double>(I)}, static_cast<double>(I));
-  DecisionTree T(Options);
-  ASSERT_TRUE(bool(T.fit(D)));
-  EXPECT_LE(T.fittedDepth(), 2u);
+  EXPECT_LE(fitTree(D, Options).Depth, 2u);
 }
 
 TEST(DecisionTree, DeepTreeInterpolatesTraining) {
@@ -70,10 +87,9 @@ TEST(DecisionTree, DeepTreeInterpolatesTraining) {
   Dataset D({"x"});
   for (int I = 0; I < 32; ++I)
     D.addRow({static_cast<double>(I)}, static_cast<double>(I * I % 7));
-  DecisionTree T(Options);
-  ASSERT_TRUE(bool(T.fit(D)));
+  FlatTree T = fitTree(D, Options);
   for (int I = 0; I < 32; ++I)
-    EXPECT_DOUBLE_EQ(T.predict({static_cast<double>(I)}),
+    EXPECT_DOUBLE_EQ(predict(T, {static_cast<double>(I)}),
                      static_cast<double>(I * I % 7));
 }
 
@@ -83,9 +99,7 @@ TEST(DecisionTree, CannotExtrapolateBeyondTrainingRange) {
   Dataset D({"x"});
   for (int I = 0; I < 50; ++I)
     D.addRow({static_cast<double>(I)}, 2.0 * I);
-  DecisionTree T;
-  ASSERT_TRUE(bool(T.fit(D)));
-  double FarOut = T.predict({1000.0});
+  double FarOut = predict(fitTree(D), {1000.0});
   EXPECT_LE(FarOut, 98.0 + 1e-12);
   EXPECT_GE(FarOut, 0.0);
 }
@@ -96,27 +110,18 @@ TEST(DecisionTree, MultiFeatureSplitsOnInformativeFeature) {
   for (int I = 0; I < 40; ++I)
     D.addRow({static_cast<double>(I % 3), static_cast<double>(I)},
              I < 20 ? 1.0 : 9.0);
-  DecisionTree T;
-  ASSERT_TRUE(bool(T.fit(D)));
-  EXPECT_DOUBLE_EQ(T.predict({0, 5}), 1.0);
-  EXPECT_DOUBLE_EQ(T.predict({0, 35}), 9.0);
+  FlatTree T = fitTree(D);
+  EXPECT_DOUBLE_EQ(predict(T, {0, 5}), 1.0);
+  EXPECT_DOUBLE_EQ(predict(T, {0, 35}), 9.0);
 }
 
 TEST(DecisionTree, FitRowsUsesOnlySelectedRows) {
   Dataset D({"x"});
   for (int I = 0; I < 10; ++I)
     D.addRow({static_cast<double>(I)}, I < 5 ? 0.0 : 100.0);
-  DecisionTree T;
   // Train only on the low-target half.
-  ASSERT_TRUE(bool(T.fitRows(D, {0, 1, 2, 3, 4})));
-  EXPECT_DOUBLE_EQ(T.predict({9}), 0.0);
-}
-
-TEST(DecisionTree, RejectsEmptyIndexSet) {
-  Dataset D({"x"});
-  D.addRow({1}, 1);
-  DecisionTree T;
-  EXPECT_FALSE(bool(T.fitRows(D, {})));
+  FlatTree T = fitTree(D, DecisionTreeOptions(), {0, 1, 2, 3, 4});
+  EXPECT_DOUBLE_EQ(predict(T, {9}), 0.0);
 }
 
 TEST(DecisionTree, MinSamplesLeafPreventsTinyLeaves) {
@@ -126,9 +131,8 @@ TEST(DecisionTree, MinSamplesLeafPreventsTinyLeaves) {
   Dataset D({"x"});
   for (int I = 0; I < 9; ++I)
     D.addRow({static_cast<double>(I)}, static_cast<double>(I));
-  DecisionTree T(Options);
-  ASSERT_TRUE(bool(T.fit(D)));
+  FlatTree T = fitTree(D, Options);
   // 9 rows < MinSamplesSplit: the tree must be a single leaf at mean 4.
-  EXPECT_EQ(T.numNodes(), 1u);
-  EXPECT_DOUBLE_EQ(T.predict({0}), 4.0);
+  EXPECT_EQ(T.Nodes.size(), 1u);
+  EXPECT_DOUBLE_EQ(predict(T, {0}), 4.0);
 }

@@ -62,14 +62,6 @@ TEST(PredictBatch, LinearRegressionMatchesRowByRow) {
   expectBatchMatchesRowByRow(M, Test);
 }
 
-TEST(PredictBatch, DecisionTreeMatchesRowByRow) {
-  Dataset Train = syntheticData(3, 120, 5);
-  Dataset Test = syntheticData(4, 40, 5);
-  DecisionTree M;
-  ASSERT_TRUE(bool(M.fit(Train)));
-  expectBatchMatchesRowByRow(M, Test);
-}
-
 TEST(PredictBatch, RandomForestMatchesRowByRow) {
   Dataset Train = syntheticData(5, 100, 5);
   Dataset Test = syntheticData(6, 40, 5);

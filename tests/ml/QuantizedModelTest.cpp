@@ -152,8 +152,8 @@ TEST(QuantizedModel, AllPaperFamiliesOnMachineDataWithinBound) {
 
   for (core::ModelFamily Family :
        {core::ModelFamily::LR, core::ModelFamily::NN}) {
-    std::unique_ptr<Model> Fp = core::fitPaperModel(
-        Family, /*Seed=*/1, *Train, InferenceAlgorithm::Fp);
+    std::unique_ptr<Model> Fp =
+        core::fitPaperModel(Family, /*Seed=*/1, *Train);
     const std::vector<double> Reference = Fp->predictBatch(*Train);
     auto Q = QuantizedModel::build(std::move(Fp), *Train);
     ASSERT_TRUE(bool(Q)) << core::modelFamilyName(Family) << ": "
@@ -315,10 +315,6 @@ void expectNoQuantizedKernel(std::unique_ptr<Model> Fp) {
   ASSERT_FALSE(bool(Q)) << Name;
   EXPECT_EQ(Q.error().message(),
             "model family '" + Name + "' has no quantized inference kernel");
-}
-
-TEST(QuantizedModel, RefusesDecisionTree) {
-  expectNoQuantizedKernel(std::make_unique<DecisionTree>());
 }
 
 TEST(QuantizedModel, RefusesRandomForest) {

@@ -103,7 +103,7 @@ TEST(RandomForest, PredictAllMatchesPredict) {
   Dataset D = makeSmoothData(50, 6);
   RandomForest M;
   ASSERT_TRUE(bool(M.fit(D)));
-  std::vector<double> All = M.predictAll(D);
+  std::vector<double> All = M.predictBatch(D);
   for (size_t I = 0; I < D.numRows(); I += 7)
     EXPECT_DOUBLE_EQ(All[I], M.predict(D.row(I)));
 }

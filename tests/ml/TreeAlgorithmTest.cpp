@@ -52,22 +52,17 @@ Dataset randomDataset(uint64_t Seed, size_t Rows, size_t Cols,
   return D;
 }
 
-/// Fits \p Rows of \p D (all rows when empty) with the presorted grower,
-/// from \p Master when given, and requires the flat tree the seed grower
-/// of tests/reference grows from the same options and stream, bit for bit.
+/// Grows \p Rows of \p D (all rows when empty) with the presorted grower
+/// and requires the flat tree the seed grower of tests/reference grows
+/// from the same options and stream, bit for bit.
 void expectTreeMatchesSeed(const Dataset &D, std::vector<size_t> Rows,
-                           const DecisionTreeOptions &Options, Rng TreeRng,
-                           const DatasetPresort *Master = nullptr) {
-  DecisionTree Fast(Options, TreeRng);
+                           const DecisionTreeOptions &Options, Rng TreeRng) {
   if (Rows.empty()) {
-    ASSERT_TRUE(bool(Fast.fit(D)));
     Rows.resize(D.numRows());
     std::iota(Rows.begin(), Rows.end(), size_t{0});
-  } else {
-    ASSERT_TRUE(bool(Fast.fitRows(D, Rows, Master)));
   }
   FlatForest Got, Want;
-  Got.Trees.push_back(Fast.flatten());
+  Got.Trees.push_back(growTree(D, Rows, DatasetPresort(D), Options, TreeRng));
   Want.Trees.push_back(reference::growTree(D, Rows, Options, TreeRng));
   std::string Where;
   EXPECT_TRUE(reference::sameForest(Got, Want, Where)) << Where;
@@ -103,18 +98,18 @@ TEST(TreeAlgorithm, PresortedMatchesNaiveWithMtryAndBootstrap) {
 }
 
 TEST(TreeAlgorithm, SharedPresortMatchesPerTreeSortAndNaive) {
-  // The DatasetPresort path (used by RandomForest) orders ties on
-  // (value, target) by row instead of by sample id; both orderings must
-  // still grow the seed grower's trees bit for bit.
+  // The DatasetPresort orders ties on (value, target) by row, and a
+  // bootstrap duplicate's copies by sample id, while the seed grower
+  // sorts bare (value, target) pairs. Tied samples carry equal targets,
+  // so both must grow the same trees bit for bit on duplicate-heavy
+  // bootstrap samples.
   for (uint64_t Seed = 21; Seed <= 26; ++Seed) {
     Dataset D = randomDataset(Seed, 90, 5, /*Quantize=*/true);
-    DatasetPresort Master(D);
     std::vector<size_t> Rows = bootstrapRows(D, Seed ^ 0x5EED);
     DecisionTreeOptions Options;
     Options.MaxFeatures = 2;
     Options.MinSamplesLeaf = 1;
     Options.MinSamplesSplit = 2;
-    expectTreeMatchesSeed(D, Rows, Options, Rng(Seed), &Master);
     expectTreeMatchesSeed(D, Rows, Options, Rng(Seed));
   }
 }
@@ -135,17 +130,20 @@ TEST(TreeAlgorithm, PresortedGrowthLoopDoesNotAllocate) {
   Options.MinSamplesLeaf = 1;
   Options.MinSamplesSplit = 2;
 
+  std::vector<size_t> Rows(D.numRows());
+  std::iota(Rows.begin(), Rows.end(), size_t{0});
+  const DatasetPresort Presort(D);
+
   detail::TreeGrowPhaseProbe = [](bool Entering) {
     if (Entering)
       test::allocCountingArm();
     else
       test::allocCountingDisarm();
   };
-  DecisionTree T(Options);
-  ASSERT_TRUE(bool(T.fit(D)));
+  FlatTree T = growTree(D, Rows, Presort, Options, Rng(0x7EE5));
   detail::TreeGrowPhaseProbe = nullptr;
 
-  EXPECT_GT(T.numNodes(), 1u);
+  EXPECT_GT(T.Nodes.size(), 1u);
   EXPECT_EQ(test::armedAllocationCount(), 0u)
       << "presorted growth loop allocated after scratch setup";
 }

@@ -6,10 +6,10 @@
 ///
 /// \file
 /// The seed tree grower, kept as the oracle the presorted production
-/// grower (ml/DecisionTree.h) must reproduce bit for bit: it re-sorts the
+/// grower (ml::growTree) must reproduce bit for bit: it re-sorts the
 /// (value, target) pairs of every node. Trees come out in the flat form
-/// DecisionTree::flatten() emits, so the two compare node by node. The
-/// forest helper replays RandomForest::fit's random streams around it.
+/// ml::growTree returns, so the two compare node by node. The forest
+/// helper replays RandomForest::fit's random streams around it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +27,7 @@ namespace reference {
 /// Grows one CART tree over \p Rows of \p Training (duplicates allowed, as
 /// in a bootstrap sample) the seed way, drawing the per-node mtry shuffles
 /// from \p TreeRng. \returns it pre-order with self-looping leaves and the
-/// fitted depth, the form of DecisionTree::flatten().
+/// fitted depth, the form of ml::growTree.
 ml::FlatTree growTree(const ml::Dataset &Training,
                       const std::vector<size_t> &Rows,
                       const ml::DecisionTreeOptions &Options, Rng TreeRng);
