@@ -71,7 +71,6 @@ ServingEngine::ServingEngine(const ml::Model &M, size_t FeatureWidth,
       Shards[SI].PredQ.resize(BatchSize);
     }
   }
-  Folded.resize(static_cast<size_t>(NumTenants) * NumApps);
   if (!Quant) {
     PendingTenants.reserve(EpochSize);
     PendingApps.reserve(EpochSize);
@@ -319,29 +318,19 @@ void ServingEngine::foldEpoch() {
   // the post-update coefficients, this epoch's saw the pre-update ones.
   retrainOnPending();
 
-  // The fold: publish every shard's running accumulators into the
-  // query-visible table, in shard order. Cells are owned by exactly one
-  // shard, so this is a snapshot copy, never a cross-shard sum. The
-  // quantized path converts each cell's exact quanta total to joules
-  // here — one multiply per cell per fold, off the hot loop.
-  const double DequantScale = Quant ? Quant->dequantScale() : 0;
-  for (size_t SI = 0; SI < NumShards; ++SI) {
-    Shard &S = Shards[SI];
-    const size_t Owned = S.Cells.size() / NumApps;
-    for (size_t Local = 0; Local < Owned; ++Local) {
-      const size_t Tenant = Local * NumShards + SI;
-      Cell *Out = Folded.data() + Tenant * NumApps;
-      const size_t Base = Local * NumApps;
-      if (Quant) {
-        for (size_t A = 0; A < NumApps; ++A) {
-          Out[A].EnergyJ =
-              static_cast<double>(S.CellsQ[Base + A].EnergyQ) * DequantScale;
-          Out[A].Count = S.CellsQ[Base + A].Count;
-        }
-      } else {
-        std::copy_n(S.Cells.data() + Base, NumApps, Out);
+  // The FP path's cells already hold this epoch: between folds they are
+  // the query-visible table. The quantized path publishes here, converting
+  // each cell's exact quanta total to joules in its shard's Cells: one
+  // multiply per cell per fold, off the hot loop. Mid-epoch flushes move
+  // only the quanta, so queries see the last fold until the next one.
+  if (Quant) {
+    const double DequantScale = Quant->dequantScale();
+    for (Shard &S : Shards)
+      for (size_t I = 0; I < S.Cells.size(); ++I) {
+        S.Cells[I].EnergyJ =
+            static_cast<double>(S.CellsQ[I].EnergyQ) * DequantScale;
+        S.Cells[I].Count = S.CellsQ[I].Count;
       }
-    }
   }
   Stats.Observations += PendingCount;
   Stats.Epochs += 1;
@@ -389,7 +378,7 @@ void ServingEngine::replay(const FleetTrace &Trace) {
 
 double ServingEngine::tenantEnergy(uint32_t Tenant) const {
   assert(Tenant < NumTenants && "tenant id out of range");
-  const Cell *Row = Folded.data() + static_cast<size_t>(Tenant) * NumApps;
+  const Cell *Row = cellsOf(Tenant);
   double Sum = 0;
   for (uint32_t A = 0; A < NumApps; ++A)
     Sum += Row[A].EnergyJ;
@@ -398,7 +387,7 @@ double ServingEngine::tenantEnergy(uint32_t Tenant) const {
 
 uint64_t ServingEngine::tenantObservations(uint32_t Tenant) const {
   assert(Tenant < NumTenants && "tenant id out of range");
-  const Cell *Row = Folded.data() + static_cast<size_t>(Tenant) * NumApps;
+  const Cell *Row = cellsOf(Tenant);
   uint64_t Sum = 0;
   for (uint32_t A = 0; A < NumApps; ++A)
     Sum += Row[A].Count;
@@ -409,7 +398,7 @@ double ServingEngine::appEnergy(uint32_t App) const {
   assert(App < NumApps && "app id out of range");
   double Sum = 0;
   for (uint32_t T = 0; T < NumTenants; ++T)
-    Sum += Folded[static_cast<size_t>(T) * NumApps + App].EnergyJ;
+    Sum += cellsOf(T)[App].EnergyJ;
   return Sum;
 }
 
@@ -417,7 +406,7 @@ uint64_t ServingEngine::appObservations(uint32_t App) const {
   assert(App < NumApps && "app id out of range");
   uint64_t Sum = 0;
   for (uint32_t T = 0; T < NumTenants; ++T)
-    Sum += Folded[static_cast<size_t>(T) * NumApps + App].Count;
+    Sum += cellsOf(T)[App].Count;
   return Sum;
 }
 

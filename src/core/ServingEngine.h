@@ -14,9 +14,11 @@
 /// Concurrency follows the per-CPU accumulator + periodic-fold idiom of
 /// in-kernel energy models: tenant state is sharded (tenant % NumShards,
 /// striped so Zipf-hot low tenant ids spread across shards), each shard
-/// owns plain per-shard accumulation slots, and an explicit epoch boundary
-/// folds every shard's running totals into the query-visible table in
-/// deterministic shard order. The fold's parallel tasks are batches, not
+/// owns plain per-shard accumulation cells, and an explicit epoch boundary
+/// folds the epoch's observations into them. The cells change only at a
+/// fold, so between folds they are the query-visible table itself: a
+/// query reads its tenants' cells in their shards. The fold's parallel
+/// tasks are batches, not
 /// shards: each shard's run of the epoch is cut into BatchSize batches,
 /// and all batches of all shards go through one pool loop, each predicting
 /// into its own slice of a position-indexed buffer — no locks or atomics
@@ -30,9 +32,9 @@
 /// their cells serially in partition order once every batch is done — so
 /// every cell's float accumulation order is trace order regardless of
 /// shard count, thread count, or batch size. Derived aggregates are summed
-/// from the folded cells in ascending (tenant, app) order, never across
-/// shards, so replaying the same trace is bit-identical at any
-/// shard/thread count.
+/// from the cells in ascending (tenant, app) order, whichever shard holds
+/// each, so replaying the same trace is bit-identical at any shard/thread
+/// count.
 ///
 /// Serving a ml::QuantizedModel switches the hot loop to the integer fast
 /// path: each observation is quantized once at ingest (int32 rows, half
@@ -43,7 +45,8 @@
 /// shard's batch fills, predictQuantizedMany runs over it in place — no
 /// Dataset assembly, no per-batch allocation, no FP in the loop — and
 /// accumulates raw int64 prediction quanta into per-cell 128-bit integer
-/// slots, converted to joules once per cell at fold time. Flushing
+/// slots, converted to joules into the shard's cells once per cell at
+/// fold time (a flush between folds moves only the quanta). Flushing
 /// in place keeps the whole pipeline inside one BatchSize buffer per
 /// shard (L1-resident) instead of writing an epoch of rows to memory and
 /// reading them back at the fold; the integer kernel is cheap enough
@@ -175,8 +178,8 @@ public:
   bool ingest(uint32_t Tenant, uint32_t App, const double *Features,
               double Label);
 
-  /// Flushes pending observations through the shards and folds every
-  /// shard's accumulators into the query-visible table (shard order).
+  /// Flushes pending observations through the shards and folds them into
+  /// the shards' cells, which queries read.
   void endEpoch();
 
   /// Ingests the whole trace and ends the epoch; the standard replay
@@ -214,11 +217,12 @@ private:
     uint64_t Count = 0;
   };
 
-  /// Per-shard state: running accumulators for the owned tenants plus,
-  /// on the quantized path, the staged batch and its scratch.
+  /// Per-shard state: the owned tenants' cells plus, on the quantized
+  /// path, their quanta accumulators, the staged batch and its scratch.
   struct Shard {
-    /// Running totals, local-tenant-major (localTenant * NumApps + app);
-    /// local tenant L is global tenant L * NumShards + shardIndex.
+    /// Totals as of the last fold, local-tenant-major (localTenant *
+    /// NumApps + app); local tenant L is global tenant L * NumShards +
+    /// shardIndex. Written only by the fold: the query-visible table.
     std::vector<Cell> Cells;
     /// Quantized-path accumulation slot: running energy in raw
     /// prediction quanta plus the observation count, fused so the hot
@@ -230,7 +234,8 @@ private:
       __int128 EnergyQ = 0;
       uint64_t Count = 0;
     };
-    /// Quantized path only: same cell layout as Cells.
+    /// Quantized path only: same cell layout as Cells, running between
+    /// folds.
     std::vector<QCell> CellsQ;
     /// Quantized path only: this shard's current batch, staged at ingest
     /// (the shard of an observation is known the moment it arrives, so
@@ -252,6 +257,12 @@ private:
   };
 
   unsigned shardOf(uint32_t Tenant) const { return TenantShard[Tenant]; }
+
+  /// \returns \p Tenant's NumApps cells in its shard.
+  const Cell *cellsOf(uint32_t Tenant) const {
+    return Shards[TenantShard[Tenant]].Cells.data() +
+           static_cast<size_t>(TenantLocal[Tenant]) * NumApps;
+  }
 
   /// \returns whether a row may be staged: (\p Tenant, \p App) inside the
   /// fleet and all Width of \p Features finite; counts the row as refused
@@ -294,8 +305,9 @@ private:
   void flushShardBatch(Shard &S);
 
   /// Partitions pending observations by shard (stable), runs every
-  /// shard's batches through one pool loop, adds the predictions to their
-  /// cells in partition order, then folds in shard order. In
+  /// shard's batches through one pool loop and adds the predictions to
+  /// their cells in partition order (the quantized path converts its
+  /// quanta into the cells instead). In
   /// online-retrain mode this is also where the model advances: a serial
   /// trace-order pass scores the epoch-start model against the epoch's
   /// labels (staleness stats), then feeds the labeled rows into the online
@@ -324,7 +336,6 @@ private:
   /// quantized per-row work combined.
   std::vector<uint32_t> TenantShard;
   std::vector<uint32_t> TenantLocal;
-  std::vector<Cell> Folded; ///< Query-visible table (tenant * NumApps + app).
   ServingStats Stats;
 
   // Online-retrain state: the served-and-updated model (null when the

@@ -856,3 +856,59 @@ TEST(ServingEngine, ReplayRefusesTraceRowsOutsideTheFleet) {
         expectSameTables(Got, Want);
       }
 }
+
+TEST(ServingEngine, QuantizedQueriesSeeTheLastFoldWhileBatchesFlush) {
+  // The quantized path flushes a shard's batch into its quanta the moment
+  // the batch fills, mid-epoch; the cells queries read change only at a
+  // fold. So between folds every query returns the last fold's totals,
+  // and 0 before the first.
+  ml::Dataset Train = miniTrainingSet(3, 0x3A);
+  auto Quant = ml::QuantizedModel::build(fittedLr(Train), Train);
+  ASSERT_TRUE(bool(Quant));
+  MiniTrace T = makeMiniTrace(2000, 13, 3, 3, 0xF01D);
+  ServingConfig Config;
+  Config.NumShards = 2;
+  Config.EpochSize = 500;
+  Config.BatchSize = 16;
+  ServingEngine Engine(**Quant, T.Width, T.NumTenants, T.NumApps, Config);
+  // Every query's answer: per tenant, per app, and the fleet total.
+  auto Answers = [&] {
+    std::vector<double> Energy;
+    std::vector<uint64_t> Counts;
+    for (uint32_t Tenant = 0; Tenant < T.NumTenants; ++Tenant) {
+      Energy.push_back(Engine.tenantEnergy(Tenant));
+      Counts.push_back(Engine.tenantObservations(Tenant));
+    }
+    for (uint32_t App = 0; App < T.NumApps; ++App) {
+      Energy.push_back(Engine.appEnergy(App));
+      Counts.push_back(Engine.appObservations(App));
+    }
+    Energy.push_back(Engine.fleetEnergy());
+    return std::make_pair(Energy, Counts);
+  };
+  auto Folded = Answers();
+  for (double E : Folded.first)
+    ASSERT_EQ(E, 0.0);
+  for (uint64_t C : Folded.second)
+    ASSERT_EQ(C, 0u);
+
+  size_t MidEpochFlushes = 0;
+  for (size_t I = 0; I < T.size(); ++I) {
+    const uint64_t Epochs = Engine.stats().Epochs;
+    const uint64_t Batches = Engine.stats().Batches;
+    Engine.ingest(T.Tenants[I], T.Apps[I], T.Features.data() + I * T.Width);
+    if (Engine.stats().Epochs != Epochs) {
+      Folded = Answers();
+      ASSERT_GT(Folded.first.back(), 0.0);
+    } else if (Engine.stats().Batches != Batches) {
+      ++MidEpochFlushes;
+      ASSERT_EQ(Answers(), Folded)
+          << "after a mid-epoch flush at row " << I << ", epoch "
+          << Engine.stats().Epochs;
+    }
+  }
+  EXPECT_EQ(Engine.stats().Epochs, 4u);
+  EXPECT_GT(MidEpochFlushes, 50u);
+  // The last fold's totals are those of a plain replay of the trace.
+  expectSameTables(Engine, replayed(**Quant, T, Config));
+}
