@@ -11,9 +11,9 @@
 // and BM_ReadCountersBatch run the oracles of tests/reference, which the
 // production kernels must match bit for bit (BM_ForestPredictBatchPa4
 // pairs the leaf-mask form with the node walk the same way); CI's kernel
-// speedup gates compare the tree, forest and NN pairs. Under SLOPE_SIMD=avx2 the
-// BM_NNFit Arg(1) arm reports an error instead, since the K-split kernels
-// reassociate the batched trainer's sums.
+// speedup gates compare the tree, forest, NN and leaf-mask pairs. Under
+// SLOPE_SIMD=avx2 the BM_NNFit Arg(1) arm reports an error instead, since
+// the K-split kernels reassociate the batched trainer's sums.
 //
 //===----------------------------------------------------------------------===//
 
@@ -255,7 +255,9 @@ BENCHMARK(BM_ForestPredictBatch)->Arg(0)->Arg(1);
 // flat trees, Arg(1), rows transposed as predictBatch would for it. The
 // Arg(0) arm first serves one untimed batch, which builds the masks, then
 // checks that the forest took the mask form and that both give the same
-// bits. BM_ForestPredictBatch's 6-feature forest keeps the node walk.
+// bits. Both arms count one item per (row, tree), so their rates read as
+// ns per row and tree. BM_ForestPredictBatch's 6-feature forest keeps the
+// node walk.
 void BM_ForestPredictBatchPa4(benchmark::State &State) {
   ml::Dataset Train = randomDataset(200, 4, 15);
   ml::Dataset Test = randomDataset(4096, 4, 16);
@@ -277,11 +279,17 @@ void BM_ForestPredictBatchPa4(benchmark::State &State) {
       P /= static_cast<double>(Forest.numTrees());
     return Out;
   };
+  // Items are (row, tree) pairs, so the JSON reports ns per row and tree.
+  const auto CountItems = [&] {
+    State.SetItemsProcessed(State.iterations() *
+                            static_cast<int64_t>(N * Forest.numTrees()));
+  };
   if (State.range(0) == 1) {
     for (auto _ : State) {
       std::vector<double> Preds = NodeWalk();
       benchmark::DoNotOptimize(Preds);
     }
+    CountItems();
     return;
   }
   // The first batch takes the forest past LeafMasks::BuildAfterRows rows,
@@ -300,6 +308,7 @@ void BM_ForestPredictBatchPa4(benchmark::State &State) {
     std::vector<double> Preds = Forest.predictBatch(Test);
     benchmark::DoNotOptimize(Preds);
   }
+  CountItems();
 }
 BENCHMARK(BM_ForestPredictBatchPa4)->Arg(0)->Arg(1);
 

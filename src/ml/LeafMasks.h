@@ -19,30 +19,47 @@
 ///   line into at most 128 of them;
 /// - per tree, feature and interval, a 128-bit mask of the leaves whose
 ///   box (the intervals every path from the root to the leaf admits)
-///   contains that interval.
+///   contains that interval. A table entry holds its interval's index
+///   among all of the tree's masks.
 ///
 /// A row's leaf in a tree is the one bit left after ANDing its masks over
 /// the features: the growth rule sends `x <= t` left and everything else,
 /// NaN included, right, and a rank is `<=` a threshold exactly when the
 /// value is, so the leaves' boxes partition rank space the way the tree
-/// partitions the rows. Rows add their leaves in ensemble order, the same
-/// additions in the same order as sumForestLeaves (ml/FlatForest.h), so
-/// every sum is bit-identical to the node walk's.
+/// partitions the rows.
+///
+/// Rows are served a 256-row block at a time. Each feature's ranks come
+/// from binary searches whose steps depend on the threshold count alone,
+/// so the block's searches step together and each row's probes overlap
+/// with the others'; a step is arithmetic on the compare's flag, with no
+/// select that GCC could turn into a branch (stepPast in LeafMasks.cpp).
+/// Trees then pass over the block four at a time: a row's ranks and
+/// running sum stay in registers across the four, and each tree costs the
+/// row one table byte and one 16-byte mask per feature, ANDed as GCC
+/// vectors, and one leaf value. Rows add their leaves in ensemble order,
+/// the same additions in the same order as sumForestLeaves
+/// (ml/FlatForest.h), so every sum is bit-identical to the node walk's.
 ///
 /// Selection is by shape: a forest can take this form when it has at
 /// most MaxFeatures features, at least MinTreesPerFeature trees per
 /// feature, at most MaxTrees trees and no tree of more than MaxLeaves
 /// leaves (suits()). The ranks cost one binary search per feature and
-/// row, shared by all trees, and each tree then costs one table lookup
-/// and one mask per feature, so the form gains with the tree count and
-/// loses with the width. Node walk
-/// time over mask time, one thread of a shared 4-core Xeon, 4,096 uniform
-/// random rows through forests fitted on 200 such rows, median of 15
-/// rounds (9 at 100 trees): 1 feature 0.80x at 3 trees, 1.03x at 4, 1.38x
-/// at 6; 2 features 0.94x at 8, 1.07x at 10, 1.18x at 12; 3 features 0.88x
-/// at 12, 1.02x at 15, 1.14x at 18; 4 features 0.97x at 20, 1.08x at 24
-/// and 2.13x at 100. The masks break even at about 5 trees per feature,
-/// so the rule asks for 6. Wider forests need far more trees (a wider
+/// row, shared by all trees, and each tree then costs a row one table
+/// byte and one mask per feature and one leaf, so the form gains with the
+/// tree count and loses with the width. Node walk time over mask time,
+/// one thread of a shared 4-core Xeon, 4,096 uniform random rows through
+/// forests fitted on 200 such rows, median of 15 rounds: 1 feature 1.64x
+/// at 1 tree, 2.76x at 2, 4.77x at 6; 2 features 1.05x at 1, 1.65x at 2,
+/// 3.15x at 6, 4.11x at 12; 3 features 0.88x at 1, 1.38x at 2, 1.77x at
+/// 3, 3.89x at 18; 4 features 0.76x at 1, 1.17x at 2, 1.60x at 4, 2.88x
+/// at 12, 3.56x at 24 and 4.66x at 100. The masks break even at about
+/// half a tree per feature. The rule still asks for 6 trees per feature,
+/// just past where the kernel before this one broke even (a rank step
+/// that compiled to a branch, one tree per pass: 0.13x at 1 tree of 4
+/// features, 0.89x at 20, 1.03x at 24 and 2.17x at 100, in runs
+/// alternating with these), since every forest the program's drivers
+/// serve through the masks has 100 trees.
+/// Wider forests need far more trees (with that earlier kernel, a wider
 /// variant of the form read 0.80x for 6 features and 0.57x for 9 at 30
 /// trees, 1.58x and 1.07x at 100), and four features is also the paper's
 /// single-run PMC budget (its PA4 online model).
@@ -50,10 +67,10 @@
 /// The build is paid once, by the prediction that takes the rows a
 /// forest has walked to BuildAfterRows (ml::RandomForest). On the same
 /// host a one-thread build costs what the walk spends on 320 to 1,470
-/// rows, about 900 at most shapes (0.03 ms for 3 trees of 1 feature, 2.1
-/// ms for 100 trees of 4), so building after 1,024 walked rows costs a
-/// forest at worst about twice what the cheaper form would have. A fit
-/// that predicts only a test set never builds: bench_table3_lr and
+/// rows, about 900 at most shapes (0.03 ms for 3 trees of 1 feature, 1.2
+/// to 2.1 ms for 100 trees of 4), so building after 1,024 walked rows
+/// costs a forest at worst about twice what the cheaper form would have.
+/// A fit that predicts only a test set never builds: bench_table3_lr and
 /// bench_table4_rf each fit four 100-tree forests over 4 features and
 /// predict 50 rows with each, and a build at every fit cost them 10 and
 /// 17 ms more CPU per run (7% and 23%; one thread, medians of 20
@@ -64,10 +81,10 @@
 /// thresholds: at most trees x (127 x trees + 4) bytes, quadratic in the
 /// tree count, since each tree's bootstrap brings thresholds of its own.
 /// MaxTrees bounds them at 2.1 MB, about the L2 of the Xeon measured
-/// here. Past it the gain shrinks as the tables spill: 4-feature forests
-/// fitted on 20,000 uniform random rows read 1.78x at 128 trees (1.1 MB
-/// of tables), 1.24x at 200 (2.5 MB) and 1.02x at 300 (5.4 MB, five times
-/// the nodes).
+/// here. Past it the gain shrinks as the tables spill: with the earlier
+/// kernel, 4-feature forests fitted on 20,000 uniform random rows read
+/// 1.78x at 128 trees (1.1 MB of tables), 1.24x at 200 (2.5 MB) and 1.02x
+/// at 300 (5.4 MB, five times the nodes).
 /// fleet-rf's forest (100 trees of about 76 leaves, 4 features) takes
 /// 0.45 MB: 265 KB of tables, 123 KB of masks and 59 KB of leaves,
 /// against 0.36 MB of nodes.
@@ -115,16 +132,21 @@ public:
   void sumLeaves(size_t N, const double *const *Cols, double *Out) const;
 
 private:
-  /// Leaves 0..63 in Lo and 64..127 in Hi.
-  struct alignas(16) Mask {
-    uint64_t Lo = 0, Hi = 0;
-    void set(uint32_t Leaf) {
-      (Leaf < 64 ? Lo : Hi) |= uint64_t{1} << (Leaf % 64);
-    }
-  };
+  /// Leaves 0..63 in element 0 and 64..127 in element 1: one 16-byte GCC
+  /// vector, so that a row's masks AND in one instruction.
+  using Mask = uint64_t __attribute__((vector_size(16)));
+
+  /// Rows ranked at a time, whose ranks every tree then reads.
+  static constexpr size_t Block = 256;
 
   template <unsigned W>
   void sumLeavesOf(size_t N, const double *const *Cols, double *Out) const;
+  /// Out[r] += the leaves trees T0 to T0 + G - 1 give row r, in that
+  /// order, for the BN rows of a block; Rank[f][r] indexes row r's entry
+  /// in feature f's table of any tree.
+  template <unsigned W, unsigned G>
+  void addTrees(size_t T0, size_t BN, const uint32_t (&Rank)[W][Block],
+                double *Out) const;
 
   uint32_t Width = 0;
   uint32_t NumTrees = 0;
@@ -133,10 +155,14 @@ private:
   std::vector<double> Thresholds;
   uint32_t ThresholdBegin[MaxFeatures + 1] = {};
   /// Per tree, TableStride bytes: feature f's table, indexed by rank, at
-  /// TableBegin[f] = ThresholdBegin[f] + f (one entry per rank).
+  /// ThresholdBegin[f] + f (one entry per rank). An entry is the index,
+  /// among the tree's masks, of the mask of the rank's interval: the
+  /// interval plus the count of the tree's intervals on the features
+  /// before f, at most 127 splits + 4 = 131 masks in all.
   std::vector<uint8_t> Tables;
   uint32_t TableStride = 0;
-  /// Per tree and feature (tree-major), the first of its interval masks.
+  /// Per tree, the first of its masks: per feature in feature order, one
+  /// per interval.
   std::vector<uint32_t> MaskBegin;
   std::vector<Mask> Masks;
   /// Per tree, the first of its leaf values; leaves in node order.

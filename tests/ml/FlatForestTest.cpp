@@ -14,6 +14,8 @@
 // must equal it bit for bit at every batch size that leaves a different
 // tail of the four-row group and of the 256-row block, on trees of every
 // depth up to 16 and of mixed depth (single leaves and stumps included),
+// in forests of every tree count modulo 4 at each width the masks take
+// (they serve four trees per pass over the rows, then the tail),
 // on trees of exactly 64, 65, 128 and 129 leaves, on rows exactly at split
 // thresholds and one ulp either side of them, and on signed zeros, NaN and
 // infinities. Every fitted forest is checked through the node walk, which
@@ -325,18 +327,27 @@ TEST(FlatForest, TreesArePreOrderWithSelfLoopingLeaves) {
 }
 
 TEST(FlatForest, NarrowForestsServeThroughLeafMasks) {
-  // One to four features, 40 trees of at most 128 leaves: predictions go
+  // One to four features, trees of at most 128 leaves: predictions go
   // through the leaf masks once the forest has served BuildAfterRows rows.
+  // At each width, 40 trees, and the fewest the form takes (six per
+  // feature) to three more, so that the masks' groups of four trees end
+  // on every tail: none, one, two and three trees.
   for (size_t Width = 1; Width <= 4; ++Width) {
-    SCOPED_TRACE("width " + std::to_string(Width));
-    RandomForestOptions Options;
-    Options.NumTrees = 40;
-    RandomForest Forest(Options);
-    ASSERT_TRUE(bool(Forest.fit(smoothData(150, Width, 10 + Width))));
-    ASSERT_TRUE(LeafMasks::suits(Forest.flat(), Width));
-    EXPECT_EQ(Forest.leafMasks(), nullptr);
-    expectMatchesOracle(Forest, Width, 500 + Width);
-    EXPECT_NE(Forest.leafMasks(), nullptr);
+    const size_t Fewest = LeafMasks::MinTreesPerFeature * Width;
+    for (size_t Trees :
+         {size_t{40}, Fewest, Fewest + 1, Fewest + 2, Fewest + 3}) {
+      SCOPED_TRACE("width " + std::to_string(Width) + ", " +
+                   std::to_string(Trees) + " trees");
+      RandomForestOptions Options;
+      Options.NumTrees = Trees;
+      RandomForest Forest(Options);
+      ASSERT_TRUE(bool(Forest.fit(smoothData(150, Width, 10 + Width))));
+      ASSERT_TRUE(LeafMasks::suits(Forest.flat(), Width));
+      EXPECT_EQ(Forest.leafMasks(), nullptr);
+      expectMatchesOracle(Forest, Width,
+                          Trees == 40 ? 500 + Width : 520 + 10 * Width + Trees);
+      EXPECT_NE(Forest.leafMasks(), nullptr);
+    }
   }
 }
 
