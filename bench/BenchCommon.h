@@ -77,13 +77,11 @@ inline long long parseCount(const std::string &Value) {
   return std::stoll(Value);
 }
 
-/// A flag storing a count of at least \p Min into \p Out.
-template <typename T>
-Flag countFlag(const char *Name, T &Out, long long Min = 1,
-               const char *Accepted = "a count of at least 1") {
-  return {Name, Accepted, [&Out, Min](const std::string &V) {
+/// A flag storing a count of at least 1 into \p Out.
+template <typename T> Flag countFlag(const char *Name, T &Out) {
+  return {Name, "a count of at least 1", [&Out](const std::string &V) {
             const long long N = parseCount(V);
-            if (N < Min)
+            if (N < 1)
               return false;
             Out = static_cast<T>(N);
             return true;
@@ -314,13 +312,13 @@ inline void writeBenchJson(const char *BenchName) {
                static_cast<double>(slope::phaseTotalNs(slope::Phase::Synth)) /
                    1e6);
   // serve_ms is the ServingEngine replay wall clock on the calling
-  // thread (ingest + shard epochs + folds); the CI serving gate compares
-  // exactly this across thread counts.
+  // thread (ingest + folds); the CI serving gate compares exactly this
+  // across thread counts.
   std::fprintf(F, "  \"serve_ms\": %.3f,\n",
                static_cast<double>(slope::phaseTotalNs(slope::Phase::Serve)) /
                    1e6);
   // Disjoint sub-slices of serve_ms: row staging/ingest vs epoch folds
-  // (partition, shard inference, publish, online retrain).
+  // (batch inference, accumulation, publish, online retrain).
   std::fprintf(
       F, "  \"ingest_ms\": %.3f,\n",
       static_cast<double>(slope::phaseTotalNs(slope::Phase::ServeIngest)) /

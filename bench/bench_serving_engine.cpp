@@ -9,7 +9,7 @@
 // through core::ServingEngine on a trained online estimator, and prints
 // the per-app and top-tenant attribution tables. Everything on stdout is
 // a pure function of the trace and the model — bit-identical at any
-// shard/thread count — so CI diffs the output of a 1-thread and a
+// thread count — so CI diffs the output of a 1-thread and a
 // 4-thread replay while gating on the serve_ms / predictions-per-second
 // numbers in the --bench-json summary.
 //
@@ -59,7 +59,7 @@ int main(int Argc, char **Argv) {
   // Driver-specific knobs (defaults are the CI gate's configuration).
   ServingConfig Config;
   size_t Observations = 1000000, TenantCount = 10000, NumApps = 12;
-  size_t TrainApps = 200, Shards = Config.NumShards;
+  size_t TrainApps = 200;
   ModelFamily Family = ModelFamily::RF;
   std::string FamilyName = "rf";
   // --retrain rls|refit|off: online-retrain mode. rls serves and updates
@@ -76,15 +76,13 @@ int main(int Argc, char **Argv) {
   // The counts, parsed whole: no sign, no suffix, at most nine digits
   // (so every value fits its field). 0 is refused where the engine would
   // quietly make it 1 (--epoch-size, --batch-size) or where nothing could
-  // be served; --shards 0 means one shard per pool thread.
+  // be served.
   bench::parseArgs(
       Argc, Argv,
       {bench::countFlag("--observations", Observations),
        bench::countFlag("--tenants", TenantCount),
        bench::countFlag("--apps", NumApps),
        bench::countFlag("--train-apps", TrainApps),
-       bench::countFlag("--shards", Shards, 0,
-                        "a count; 0 = one shard per pool thread"),
        bench::countFlag("--epoch-size", Config.EpochSize),
        bench::countFlag("--batch-size", Config.BatchSize),
        {"--family", "lr, rf, nn, knn",
@@ -110,7 +108,6 @@ int main(int Argc, char **Argv) {
                  Drift >= 0;
         }}});
   const auto Tenants = static_cast<uint32_t>(TenantCount);
-  Config.NumShards = static_cast<unsigned>(Shards);
   // --infer-algo quantized (or SLOPE_INFER_ALGO=quantized) has an integer
   // kernel for the linear families only (ml/QuantizedModel.h).
   if (ml::defaultInferenceAlgorithm() == ml::InferenceAlgorithm::Quantized &&
@@ -242,7 +239,6 @@ int main(int Argc, char **Argv) {
       {"observations", static_cast<double>(Engine.stats().Observations)},
       {"epochs", static_cast<double>(Engine.stats().Epochs)},
       {"batches", static_cast<double>(Engine.stats().Batches)},
-      {"shards", static_cast<double>(Engine.numShards())},
       {"predictions_per_sec",
        ServeMs > 0 ? static_cast<double>(Engine.stats().Observations) /
                          (ServeMs / 1e3)

@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <utility>
 
 using namespace slope;
 using namespace slope::core;
@@ -39,41 +38,23 @@ ServingEngine::ServingEngine(const ml::Model &M, size_t FeatureWidth,
       ScoreLabels(Config.ScoreLabels) {
   assert(FeatureWidth > 0 && "serving needs at least one feature");
   assert(NumTenants > 0 && NumApps > 0 && "serving needs a fleet shape");
+  assert(static_cast<uint64_t>(NumTenants) * NumApps <= UINT32_MAX &&
+         "a cell index must fit in 32 bits");
   assert((!Quant || Quant->featureWidth() == Width) &&
          "quantized model width does not match the engine");
-  unsigned NumShards = Config.NumShards > 0
-                           ? Config.NumShards
-                           : ThreadPool::global().numThreads();
-  Shards.resize(std::max(1u, NumShards));
-  TenantShard.resize(NumTenants);
-  TenantLocal.resize(NumTenants);
-  for (uint32_t T = 0; T < NumTenants; ++T) {
-    TenantShard[T] = T % static_cast<uint32_t>(Shards.size());
-    TenantLocal[T] = T / static_cast<uint32_t>(Shards.size());
-  }
   FeatureNames.reserve(Width);
   for (size_t F = 0; F < Width; ++F)
     FeatureNames.push_back("pmc" + std::to_string(F));
-  for (size_t SI = 0; SI < Shards.size(); ++SI) {
-    // Shard SI owns the striped tenants {SI, SI + S, SI + 2S, ...};
-    // shards past the tenant count (more shards than tenants) own none.
-    size_t Owned = SI < NumTenants
-                       ? (NumTenants - SI + Shards.size() - 1) / Shards.size()
-                       : 0;
-    Shards[SI].Cells.resize(Owned * NumApps);
-    if (Quant) {
-      // Integer path: quanta accumulators plus one fixed BatchSize batch
-      // buffer, sized once here so the hot loop never allocates or
-      // checks capacity.
-      Shards[SI].CellsQ.resize(Owned * NumApps);
-      Shards[SI].PendingRows.resize(BatchSize * Width);
-      Shards[SI].PendingCells.resize(BatchSize);
-      Shards[SI].PredQ.resize(BatchSize);
-    }
-  }
-  if (!Quant) {
-    PendingTenants.reserve(EpochSize);
-    PendingApps.reserve(EpochSize);
+  Cells.resize(static_cast<size_t>(NumTenants) * NumApps);
+  if (Quant) {
+    // Integer path: quanta accumulators plus one fixed BatchSize batch
+    // buffer, sized once here so the hot loop never allocates.
+    CellsQ.resize(Cells.size());
+    PendingCells.reserve(BatchSize);
+    PendingRowsQ.resize(BatchSize * Width);
+    PredQ.resize(BatchSize);
+  } else {
+    PendingCells.reserve(EpochSize);
     PendingFeatures.reserve(EpochSize * Width);
     PendingLabels.reserve(EpochSize);
   }
@@ -107,14 +88,13 @@ inline bool ServingEngine::pushQuantizedRow(uint32_t Tenant, uint32_t App,
                                             const double *Features) {
   if (!admit(Tenant, App, Features))
     return false;
-  // Quantize once at the door and route straight to the owning shard's
-  // batch; the rest of the pipeline is integer, and the staged row is
-  // half the width of the FP path's.
-  Shard &S = Shards[TenantShard[Tenant]];
-  Quant->quantizeRow(Features, S.PendingRows.data() + S.PendingN * Width);
-  S.PendingCells[S.PendingN] = TenantLocal[Tenant] * NumApps + App;
-  if (++S.PendingN == BatchSize)
-    flushShardBatch(S);
+  // Quantize once at the door; the rest of the pipeline is integer, and
+  // the staged row is half the width of the FP path's.
+  Quant->quantizeRow(Features,
+                     PendingRowsQ.data() + PendingCells.size() * Width);
+  PendingCells.push_back(Tenant * NumApps + App);
+  if (PendingCells.size() == BatchSize)
+    flushQuantizedBatch();
   ++PendingCount;
   return true;
 }
@@ -123,8 +103,7 @@ inline bool ServingEngine::pushFpRow(uint32_t Tenant, uint32_t App,
                                      const double *Features, double Label) {
   if (!admit(Tenant, App, Features))
     return false;
-  PendingTenants.push_back(Tenant);
-  PendingApps.push_back(App);
+  PendingCells.push_back(Tenant * NumApps + App);
   PendingFeatures.insert(PendingFeatures.end(), Features, Features + Width);
   PendingLabels.push_back(Label);
   ++PendingCount;
@@ -133,32 +112,26 @@ inline bool ServingEngine::pushFpRow(uint32_t Tenant, uint32_t App,
 
 bool ServingEngine::ingest(uint32_t Tenant, uint32_t App,
                            const double *Features) {
-  if (!Quant)
-    return ingest(Tenant, App, Features,
-                  std::numeric_limits<double>::quiet_NaN());
-  const bool Staged = pushQuantizedRow(Tenant, App, Features);
-  if (PendingCount >= EpochSize)
-    foldEpoch();
-  return Staged;
+  return ingest(Tenant, App, Features,
+                std::numeric_limits<double>::quiet_NaN());
 }
 
 bool ServingEngine::ingest(uint32_t Tenant, uint32_t App,
                            const double *Features, double Label) {
-  assert(!Quant && "labeled ingestion requires the FP serving path");
-  const bool Staged = pushFpRow(Tenant, App, Features, Label);
+  const bool Staged = Quant ? pushQuantizedRow(Tenant, App, Features)
+                            : pushFpRow(Tenant, App, Features, Label);
   if (PendingCount >= EpochSize)
     foldEpoch();
   return Staged;
 }
 
-void ServingEngine::flushShardBatch(Shard &S) {
+void ServingEngine::flushQuantizedBatch() {
   const auto Start = std::chrono::steady_clock::now();
-  Quant->predictQuantizedMany(S.PendingRows.data(), /*Indices=*/nullptr,
-                              S.PendingN, S.PredQ.data());
-  const int64_t *PredQ = S.PredQ.data();
-  const uint32_t *Cells = S.PendingCells.data();
-  for (size_t I = 0, N = S.PendingN; I < N; ++I) {
-    Shard::QCell &C = S.CellsQ[Cells[I]];
+  const size_t N = PendingCells.size();
+  Quant->predictQuantizedMany(PendingRowsQ.data(), /*Indices=*/nullptr, N,
+                              PredQ.data());
+  for (size_t I = 0; I < N; ++I) {
+    QCell &C = CellsQ[PendingCells[I]];
     C.EnergyQ += PredQ[I];
     C.Count += 1;
   }
@@ -166,18 +139,18 @@ void ServingEngine::flushShardBatch(Shard &S) {
                               std::chrono::steady_clock::now() - Start)
                               .count());
   ++Stats.Batches;
-  S.PendingN = 0;
+  PendingCells.clear();
 }
 
 void ServingEngine::retrainOnPending() {
   if (Quant || PendingLabels.empty() || (!Online && !ScoreLabels))
     return;
-  const size_t NumPending = PendingTenants.size();
+  const size_t NumPending = PendingCells.size();
   assert(PendingLabels.size() == NumPending && "label column out of sync");
 
   // Staleness pass: score the epoch-start model — the one this epoch's
   // predictions were actually served with — against the epoch's labels,
-  // serially in trace order (bit-identical at any shard/thread count).
+  // serially in trace order (bit-identical at any thread/batch count).
   // Runs before any update so frozen and retrained engines are measured
   // on equal footing: the difference between their scores is exactly the
   // staleness the retraining removes.
@@ -204,7 +177,7 @@ void ServingEngine::retrainOnPending() {
 
   // Advance the model for the next epoch. Both paths apply the labeled
   // rows serially in trace order, so the retrained coefficients are as
-  // shard/thread-invariant as the folded table.
+  // thread/batch-invariant as the folded table.
   if (RetrainAlgo == ml::FitAlgorithm::Rls) {
     // O(F^2) per observation, no history: cost per fold is proportional
     // to the epoch, not to the stream consumed so far.
@@ -228,55 +201,23 @@ void ServingEngine::retrainOnPending() {
 
 void ServingEngine::foldEpoch() {
   ScopedPhase FoldTimer(Phase::ServeFold);
-  const size_t NumShards = Shards.size();
-
-  // FP path: stable counting-sort partition of the pending observations
-  // by shard — per-shard contiguous index runs, each preserving trace
-  // order, so a cell's accumulation order is independent of the shard
-  // count. (The quantized path pre-routed its rows at ingest, which
-  // preserves trace order within a shard the same way.)
-  std::vector<size_t> Offsets(NumShards + 1, 0);
-  if (!Quant) {
-    const size_t NumPending = PendingTenants.size();
-    PartitionScratch.resize(NumPending);
-    if (NumShards == 1) {
-      // Everything belongs to the one shard, already in trace order.
-      Offsets[1] = NumPending;
-      for (size_t I = 0; I < NumPending; ++I)
-        PartitionScratch[I] = I;
-    } else {
-      for (size_t I = 0; I < NumPending; ++I)
-        ++Offsets[shardOf(PendingTenants[I]) + 1];
-      for (size_t SI = 0; SI < NumShards; ++SI)
-        Offsets[SI + 1] += Offsets[SI];
-      std::vector<size_t> Cursor(Offsets.begin(), Offsets.end() - 1);
-      for (size_t I = 0; I < NumPending; ++I)
-        PartitionScratch[Cursor[shardOf(PendingTenants[I])]++] = I;
-    }
-  }
-
   if (Quant) {
-    // Integer path: full batches already flushed in place as they
-    // filled; only each shard's partial remainder is left, one cheap
-    // kernel call per shard — not worth a task dispatch.
-    for (size_t SI = 0; SI < NumShards; ++SI)
-      if (Shards[SI].PendingN > 0)
-        flushShardBatch(Shards[SI]);
+    // Integer path: full batches already flushed in place as they filled;
+    // only the partial remainder is left, one cheap kernel call.
+    if (!PendingCells.empty())
+      flushQuantizedBatch();
   } else {
-    // Each shard's run, cut into BatchSize batches in shard order: the
-    // batch count per shard is ceil(run / BatchSize) at any thread count.
-    std::vector<std::pair<size_t, size_t>> Batches;
-    for (size_t SI = 0; SI < NumShards; ++SI)
-      for (size_t B = Offsets[SI]; B < Offsets[SI + 1]; B += BatchSize)
-        Batches.emplace_back(B, std::min(B + BatchSize, Offsets[SI + 1]));
-    // The batches are the pool's tasks. Each writes only its own slice of
-    // Predictions and its own latency slot, so a Zipf-hot shard's batches
-    // spread over the pool like any other's.
-    Predictions.resize(PartitionScratch.size());
+    // The epoch's rows in trace order, cut into BatchSize batches: the
+    // pool's tasks. Each writes only its own slice of Predictions and its
+    // own latency slot.
+    const size_t NumPending = PendingCells.size();
+    const size_t NumBatches = (NumPending + BatchSize - 1) / BatchSize;
+    Predictions.resize(NumPending);
     const size_t FirstMs = Stats.BatchMs.size();
-    Stats.BatchMs.resize(FirstMs + Batches.size());
-    parallelFor(0, Batches.size(), 1, [&](size_t BI) {
-      const auto [Begin, End] = Batches[BI];
+    Stats.BatchMs.resize(FirstMs + NumBatches);
+    parallelFor(0, NumBatches, 1, [&](size_t BI) {
+      const size_t Begin = BI * BatchSize;
+      const size_t End = std::min(Begin + BatchSize, NumPending);
       // One batch Dataset per pool thread, refilled in place. A fresh one
       // per batch grew the allocator's heaps: on a 4-core Xeon, fleet-rf
       // peak_rss_mb read 15.6 MB in 3 of 4 runs, against 13.7 MB in 4 of
@@ -287,8 +228,7 @@ void ServingEngine::foldEpoch() {
         Batch = ml::Dataset(FeatureNames);
       Batch.clearRows();
       for (size_t P = Begin; P < End; ++P)
-        Batch.addRow(PendingFeatures.data() + PartitionScratch[P] * Width,
-                     0.0);
+        Batch.addRow(PendingFeatures.data() + P * Width, 0.0);
       const auto Start = std::chrono::steady_clock::now();
       const std::vector<double> Predicted = Model->predictBatch(Batch);
       Stats.BatchMs[FirstMs + BI] =
@@ -298,18 +238,12 @@ void ServingEngine::foldEpoch() {
       std::copy(Predicted.begin(), Predicted.end(),
                 Predictions.data() + Begin);
     });
-    Stats.Batches += Batches.size();
-    // Add each shard's predictions to its cells in partition order, which
-    // is trace order per cell.
-    for (size_t SI = 0; SI < NumShards; ++SI) {
-      Shard &S = Shards[SI];
-      for (size_t P = Offsets[SI]; P < Offsets[SI + 1]; ++P) {
-        const size_t Obs = PartitionScratch[P];
-        Cell &C = S.Cells[TenantLocal[PendingTenants[Obs]] * NumApps +
-                          PendingApps[Obs]];
-        C.EnergyJ += Predictions[P];
-        C.Count += 1;
-      }
+    Stats.Batches += NumBatches;
+    // One serial pass adds the predictions to their cells in trace order.
+    for (size_t P = 0; P < NumPending; ++P) {
+      Cell &C = Cells[PendingCells[P]];
+      C.EnergyJ += Predictions[P];
+      C.Count += 1;
     }
   }
 
@@ -320,23 +254,20 @@ void ServingEngine::foldEpoch() {
 
   // The FP path's cells already hold this epoch: between folds they are
   // the query-visible table. The quantized path publishes here, converting
-  // each cell's exact quanta total to joules in its shard's Cells: one
-  // multiply per cell per fold, off the hot loop. Mid-epoch flushes move
-  // only the quanta, so queries see the last fold until the next one.
+  // each cell's exact quanta total to joules: one multiply per cell per
+  // fold, off the hot loop. Mid-epoch flushes move only the quanta, so
+  // queries see the last fold until the next one.
   if (Quant) {
     const double DequantScale = Quant->dequantScale();
-    for (Shard &S : Shards)
-      for (size_t I = 0; I < S.Cells.size(); ++I) {
-        S.Cells[I].EnergyJ =
-            static_cast<double>(S.CellsQ[I].EnergyQ) * DequantScale;
-        S.Cells[I].Count = S.CellsQ[I].Count;
-      }
+    for (size_t I = 0; I < Cells.size(); ++I) {
+      Cells[I].EnergyJ = static_cast<double>(CellsQ[I].EnergyQ) * DequantScale;
+      Cells[I].Count = CellsQ[I].Count;
+    }
   }
   Stats.Observations += PendingCount;
   Stats.Epochs += 1;
   PendingCount = 0;
-  PendingTenants.clear();
-  PendingApps.clear();
+  PendingCells.clear();
   PendingFeatures.clear();
   PendingLabels.clear();
 }

@@ -159,7 +159,7 @@ public:
 
   /// Integer-only prediction over a quantized row, in output quanta: the
   /// int64 dot product plus bias. Pure given the row — no allocation, no
-  /// FP — so shards may call it concurrently.
+  /// FP — so threads may call it concurrently.
   int64_t predictQuantized(const int32_t *QRow) const;
 
   /// Batched predictQuantized: runs the integer kernel over \p N rows of

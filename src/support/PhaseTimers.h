@@ -32,17 +32,16 @@ enum class Phase : unsigned {
                  ///< thread so the counter reflects wall clock (and thus
                  ///< credits parallel execution), never summed CPU time.
   Synth,         ///< Machine::readCounters counter synthesis.
-  Serve,         ///< ServingEngine trace replay (ingest, shard epochs,
-                 ///< folds), timed on the calling thread so the counter
-                 ///< reflects wall clock and credits the per-shard
-                 ///< fan-out.
+  Serve,         ///< ServingEngine trace replay (ingest and folds),
+                 ///< timed on the calling thread so the counter reflects
+                 ///< wall clock and credits the fold's batch fan-out.
   ServeIngest,   ///< ServingEngine replay ingest/staging slices (row
                  ///< buffering; on the quantized path also the inline
                  ///< batch inference). Disjoint from ServeFold; both are
                  ///< sub-slices of Serve.
-  ServeFold,     ///< ServingEngine epoch folds (partition, shard epochs,
-                 ///< publish, online retrain). Includes RlsUpdate/Refit
-                 ///< when retraining is enabled.
+  ServeFold,     ///< ServingEngine epoch folds (batch inference,
+                 ///< accumulation, publish, online retrain). Includes
+                 ///< RlsUpdate/Refit when retraining is enabled.
   RlsUpdate,     ///< RlsLinearRegression::update calls made by the
                  ///< ServingEngine online-retrain path (O(F^2) per
                  ///< observation, epoch-size-independent).

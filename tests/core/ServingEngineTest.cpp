@@ -28,6 +28,11 @@ struct ThreadCountGuard {
   ~ThreadCountGuard() { ThreadPool::setGlobalThreadCount(0); }
 };
 
+/// Batch sizes the invariance tests sweep: one row per batch, sizes that
+/// do and do not divide the epochs, and one larger than every test's
+/// epoch, so that each fold is a single batch.
+const size_t BatchSizes[] = {1, 7, 32, 1000};
+
 /// Deterministic stand-in model: predicts the plain sum of the features,
 /// so expected accumulations can be checked by hand (fit is a no-op).
 class SumModel : public ml::Model {
@@ -118,9 +123,7 @@ std::unique_ptr<ml::Model> fittedLr(const ml::Dataset &Train) {
 
 TEST(ServingEngine, HandCheckedMiniTrace) {
   SumModel M;
-  ServingConfig Config;
-  Config.NumShards = 2;
-  ServingEngine Engine(M, 2, /*NumTenants=*/3, /*NumApps=*/2, Config);
+  ServingEngine Engine(M, 2, /*NumTenants=*/3, /*NumApps=*/2);
 
   const double Rows[4][2] = {{1, 2}, {10, 0.5}, {2, 3}, {0.5, 0.25}};
   Engine.ingest(0, 0, Rows[0]); // tenant 0, app 0 -> 3
@@ -151,7 +154,6 @@ TEST(ServingEngine, HandCheckedMiniTrace) {
 TEST(ServingEngine, AutoFoldsWhenEpochSizeReached) {
   SumModel M;
   ServingConfig Config;
-  Config.NumShards = 1;
   Config.EpochSize = 4;
   Config.BatchSize = 8;
   ServingEngine Engine(M, 1, 2, 1, Config);
@@ -175,7 +177,7 @@ TEST(ServingEngine, EpochFoldTotalsEqualSerialAccumulation) {
   MiniTrace T = makeMiniTrace(5000, 37, 5, 3, 0xABCD);
 
   // Reference: one pass in trace order, accumulating per (tenant, app)
-  // exactly like an unsharded, unbatched server would.
+  // exactly like an unbatched server would.
   std::vector<double> WantEnergy(T.NumTenants * T.NumApps, 0.0);
   std::vector<uint64_t> WantCount(T.NumTenants * T.NumApps, 0);
   std::vector<double> Row(T.Width);
@@ -189,7 +191,6 @@ TEST(ServingEngine, EpochFoldTotalsEqualSerialAccumulation) {
 
   // Forced through multiple partial epochs and small batches.
   ServingConfig Config;
-  Config.NumShards = 3;
   Config.EpochSize = 512;
   Config.BatchSize = 32;
   ServingEngine Engine = replayed(M, T, Config);
@@ -207,28 +208,27 @@ TEST(ServingEngine, EpochFoldTotalsEqualSerialAccumulation) {
   EXPECT_EQ(Engine.stats().Epochs, 10u); // ceil(5000 / 512).
 }
 
-TEST(ServingEngine, BitIdenticalAtAnyShardAndThreadCount) {
+TEST(ServingEngine, BitIdenticalAtAnyBatchSizeAndThreadCount) {
   ThreadCountGuard Guard;
   SumModel M;
   MiniTrace T = makeMiniTrace(4000, 29, 4, 3, 0x5EED);
 
   ThreadPool::setGlobalThreadCount(1);
   ServingConfig Baseline;
-  Baseline.NumShards = 1;
   Baseline.EpochSize = 600;
   ServingEngine Reference = replayed(M, T, Baseline);
 
-  for (unsigned Shards : {2u, 8u, 64u}) {
+  for (size_t BatchSize : BatchSizes) {
     for (unsigned Threads : {1u, 2u, 8u}) {
       ThreadPool::setGlobalThreadCount(Threads);
       ServingConfig Config = Baseline;
-      Config.NumShards = Shards;
+      Config.BatchSize = BatchSize;
       ServingEngine Engine = replayed(M, T, Config);
       for (uint32_t Tenant = 0; Tenant < T.NumTenants; ++Tenant) {
         ASSERT_EQ(Engine.tenantEnergy(Tenant),
                   Reference.tenantEnergy(Tenant))
-            << Shards << " shards, " << Threads << " threads, tenant "
-            << Tenant;
+            << "batch size " << BatchSize << ", " << Threads
+            << " threads, tenant " << Tenant;
         ASSERT_EQ(Engine.tenantObservations(Tenant),
                   Reference.tenantObservations(Tenant));
       }
@@ -242,19 +242,39 @@ TEST(ServingEngine, BitIdenticalAtAnyShardAndThreadCount) {
   }
 }
 
-TEST(ServingEngine, BatchCountIsDeterministicPerShardCount) {
-  SumModel M;
-  ServingConfig Config;
-  Config.NumShards = 1;
-  Config.EpochSize = 64;
-  Config.BatchSize = 8;
-  ServingEngine Engine(M, 1, 4, 1, Config);
-  const double One = 1.0;
-  for (int I = 0; I < 20; ++I)
-    Engine.ingest(static_cast<uint32_t>(I % 4), 0, &One);
-  Engine.endEpoch();
-  EXPECT_EQ(Engine.stats().Batches, 3u); // ceil(20 / 8) in one shard.
-  EXPECT_EQ(Engine.stats().BatchMs.size(), 3u);
+TEST(ServingEngine, BatchCountIsCeilRowsOverBatchSizePerFold) {
+  // Both paths cut each fold's rows into BatchSize batches: a full 20-row
+  // fold takes ceil(20 / 8) = 3 batches and the final 13-row fold 2, at
+  // any thread count, with one latency reading per batch.
+  ThreadCountGuard Guard;
+  SumModel Fp;
+  ml::Dataset Train = miniTrainingSet(3, 0x42);
+  auto Quant = ml::QuantizedModel::build(fittedLr(Train), Train);
+  ASSERT_TRUE(bool(Quant));
+  MiniTrace T = makeMiniTrace(53, 5, 2, 3, 0xBA7C);
+
+  const ml::Model *Models[] = {&Fp, Quant->get()};
+  for (const ml::Model *M : Models)
+    for (unsigned Threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(M->name() + ", " + std::to_string(Threads) + " threads");
+      ThreadPool::setGlobalThreadCount(Threads);
+      ServingConfig Config;
+      Config.EpochSize = 20;
+      Config.BatchSize = 8;
+      ServingEngine Engine(*M, T.Width, T.NumTenants, T.NumApps, Config);
+      for (size_t I = 0; I < T.size(); ++I) {
+        Engine.ingest(T.Tenants[I], T.Apps[I],
+                      T.Features.data() + I * T.Width);
+        if ((I + 1) % 20 == 0) {
+          ASSERT_EQ(Engine.stats().Epochs, (I + 1) / 20);
+          ASSERT_EQ(Engine.stats().Batches, 3 * Engine.stats().Epochs);
+        }
+      }
+      Engine.endEpoch();
+      EXPECT_EQ(Engine.stats().Epochs, 3u);
+      EXPECT_EQ(Engine.stats().Batches, 3u + 3u + 2u);
+      EXPECT_EQ(Engine.stats().BatchMs.size(), Engine.stats().Batches);
+    }
 }
 
 TEST(ServingEngine, PartialFinalEpochIsFolded) {
@@ -277,7 +297,6 @@ TEST(ServingEngine, PartialFinalEpochIsFolded) {
   // 1000 = 3 * 300 + 100: the last 100 observations only reach the
   // tables if endEpoch folds the partial remainder.
   ServingConfig Config;
-  Config.NumShards = 2;
   Config.EpochSize = 300;
   Config.BatchSize = 16;
   ServingEngine Engine = replayed(M, T, Config);
@@ -299,7 +318,6 @@ TEST(ServingEngine, EpochLargerThanTraceFoldsOnce) {
   SumModel M;
   MiniTrace T = makeMiniTrace(1000, 11, 2, 2, 0xD1CE);
   ServingConfig Config;
-  Config.NumShards = 2;
   Config.EpochSize = 5000; // Never reached: the whole trace is partial.
   ServingEngine Engine = replayed(M, T, Config);
   EXPECT_EQ(Engine.stats().Epochs, 1u);
@@ -321,7 +339,6 @@ TEST(ServingEngine, QuantizedReplayMatchesFpWithinBound) {
   // exercised by the integer fast path.
   MiniTrace T = makeMiniTrace(3000, 23, 4, 3, 0xBEEF);
   ServingConfig Config;
-  Config.NumShards = 2;
   Config.EpochSize = 700;
   Config.BatchSize = 64;
   ServingEngine FpEngine = replayed(*Fp, T, Config);
@@ -348,7 +365,7 @@ TEST(ServingEngine, QuantizedReplayMatchesFpWithinBound) {
   EXPECT_LT(ml::maxRelativeError(FpEnergy, QEnergy), 1e-4);
 }
 
-TEST(ServingEngine, QuantizedReplayBitIdenticalAtAnyShardAndThreadCount) {
+TEST(ServingEngine, QuantizedReplayBitIdenticalAtAnyBatchSizeAndThreadCount) {
   ThreadCountGuard Guard;
   ml::Dataset Train = miniTrainingSet(3, 0x77);
   auto Quant = ml::QuantizedModel::build(fittedLr(Train), Train);
@@ -357,21 +374,20 @@ TEST(ServingEngine, QuantizedReplayBitIdenticalAtAnyShardAndThreadCount) {
 
   ThreadPool::setGlobalThreadCount(1);
   ServingConfig Baseline;
-  Baseline.NumShards = 1;
   Baseline.EpochSize = 600;
   ServingEngine Reference = replayed(**Quant, T, Baseline);
 
-  for (unsigned Shards : {2u, 8u, 64u}) {
+  for (size_t BatchSize : BatchSizes) {
     for (unsigned Threads : {1u, 2u, 8u}) {
       ThreadPool::setGlobalThreadCount(Threads);
       ServingConfig Config = Baseline;
-      Config.NumShards = Shards;
+      Config.BatchSize = BatchSize;
       ServingEngine Engine = replayed(**Quant, T, Config);
       for (uint32_t Tenant = 0; Tenant < T.NumTenants; ++Tenant) {
         ASSERT_EQ(Engine.tenantEnergy(Tenant),
                   Reference.tenantEnergy(Tenant))
-            << Shards << " shards, " << Threads << " threads, tenant "
-            << Tenant;
+            << "batch size " << BatchSize << ", " << Threads
+            << " threads, tenant " << Tenant;
         ASSERT_EQ(Engine.tenantObservations(Tenant),
                   Reference.tenantObservations(Tenant));
       }
@@ -428,11 +444,11 @@ TEST(FleetTrace, RejectsDegenerateConfigurations) {
   EXPECT_FALSE(bool(FleetTrace::synthesize(M, Events, Apps, NoTenants)));
 }
 
-TEST(ServingEngine, ServesARealEstimatorTraceAcrossShardCounts) {
+TEST(ServingEngine, ServesARealEstimatorTraceAcrossBatchSizes) {
   // LR and RF estimators, served with small batches so several batches of
-  // one shard are in flight at once: every shard and thread count must
-  // replay the 1-shard, 1-thread tables bit for bit, with the batch count
-  // fixed by the shard count alone.
+  // one fold are in flight at once: every batch size and thread count must
+  // replay the 1-thread tables at BatchSize 16 bit for bit, with the batch
+  // count fixed by the batch size alone.
   ThreadCountGuard Guard;
   Machine M(Platform::intelSkylakeServer(), 21);
   power::HclWattsUp Meter(M, std::make_unique<power::WattsUpProMeter>());
@@ -454,29 +470,28 @@ TEST(ServingEngine, ServesARealEstimatorTraceAcrossShardCounts) {
     auto Trace = FleetTrace::synthesize(M, Estimator->events(), Apps, Config);
     ASSERT_TRUE(bool(Trace));
 
-    auto Replay = [&](unsigned Shards, unsigned Threads) {
+    auto Replay = [&](size_t BatchSize, unsigned Threads) {
       ThreadPool::setGlobalThreadCount(Threads);
       ServingConfig Serving;
-      Serving.NumShards = Shards;
       Serving.EpochSize = 256;
-      Serving.BatchSize = 16;
+      Serving.BatchSize = BatchSize;
       ServingEngine Engine(Estimator->model(), Trace->width(),
                            Config.NumTenants, Trace->numApps(), Serving);
       Engine.replay(*Trace);
       return Engine;
     };
-    const ServingEngine Reference = Replay(1, 1);
+    const ServingEngine Reference = Replay(16, 1);
     EXPECT_EQ(Reference.stats().Observations, Trace->size());
     EXPECT_GT(Reference.fleetEnergy(), 0.0);
 
-    for (unsigned Shards : {1u, 2u, 4u}) {
-      uint64_t Batches = 0;
+    for (size_t BatchSize : BatchSizes) {
+      // 2000 rows: seven full 256-row folds and a final 208-row one.
+      const uint64_t Batches = 7 * ((256 + BatchSize - 1) / BatchSize) +
+                               (208 + BatchSize - 1) / BatchSize;
       for (unsigned Threads : {1u, 2u, 8u}) {
-        SCOPED_TRACE(std::to_string(Shards) + " shards, " +
+        SCOPED_TRACE("batch size " + std::to_string(BatchSize) + ", " +
                      std::to_string(Threads) + " threads");
-        const ServingEngine Engine = Replay(Shards, Threads);
-        if (Threads == 1)
-          Batches = Engine.stats().Batches;
+        const ServingEngine Engine = Replay(BatchSize, Threads);
         EXPECT_EQ(Engine.stats().Batches, Batches);
         EXPECT_EQ(Engine.stats().BatchMs.size(), Batches);
         for (uint32_t Tenant = 0; Tenant < Config.NumTenants; ++Tenant) {
@@ -528,7 +543,7 @@ struct RetrainResult {
 /// Replays \p Trace with online retraining (\p Algo) enabled, seeding the
 /// model from the head of the stream exactly like bench_serving_engine.
 RetrainResult replayRetrain(const FleetTrace &Trace, uint32_t NumTenants,
-                            ml::FitAlgorithm Algo, unsigned Shards,
+                            ml::FitAlgorithm Algo, size_t BatchSize,
                             size_t EpochSize) {
   std::vector<std::string> Names;
   for (size_t F = 0; F < Trace.width(); ++F)
@@ -543,7 +558,7 @@ RetrainResult replayRetrain(const FleetTrace &Trace, uint32_t NumTenants,
   (void)Fit;
 
   ServingConfig Config;
-  Config.NumShards = Shards;
+  Config.BatchSize = BatchSize;
   Config.EpochSize = EpochSize;
   Config.ScoreLabels = true;
   ServingEngine Engine(Online, Trace.width(), NumTenants, Trace.numApps(),
@@ -567,33 +582,35 @@ double retrainRelDiff(double A, double B) {
 
 } // namespace
 
-TEST(ServingEngine, OnlineRetrainBitIdenticalAtAnyShardAndThreadCount) {
+TEST(ServingEngine, OnlineRetrainBitIdenticalAtAnyBatchSizeAndThreadCount) {
   // Staleness scoring and retrain updates are applied serially in trace
   // order at the fold, so the entire online-retrain replay — published
-  // coefficients included — is a pure function of the trace: shards and
-  // threads trade wall clock only.
+  // coefficients included — is a pure function of the trace: batch sizes
+  // and threads trade wall clock only.
   ThreadCountGuard Guard;
   Machine M(Platform::intelSkylakeServer(), 33);
   auto Trace = makeDriftingTrace(M, 3000, /*DriftMax=*/0.3);
   ASSERT_TRUE(bool(Trace));
 
   ThreadPool::setGlobalThreadCount(1);
-  RetrainResult Reference =
-      replayRetrain(*Trace, 41, ml::FitAlgorithm::Rls, /*Shards=*/1, 256);
+  RetrainResult Reference = replayRetrain(*Trace, 41, ml::FitAlgorithm::Rls,
+                                         /*BatchSize=*/256, 256);
   EXPECT_GT(Reference.Retrains, 0u);
 
-  for (unsigned Shards : {1u, 8u}) {
-    for (unsigned Threads : {1u, 4u}) {
+  for (size_t BatchSize : BatchSizes) {
+    for (unsigned Threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("batch size " + std::to_string(BatchSize) + ", " +
+                   std::to_string(Threads) + " threads");
       ThreadPool::setGlobalThreadCount(Threads);
       RetrainResult Got =
-          replayRetrain(*Trace, 41, ml::FitAlgorithm::Rls, Shards, 256);
+          replayRetrain(*Trace, 41, ml::FitAlgorithm::Rls, BatchSize, 256);
       ASSERT_EQ(Got.Coefficients.size(), Reference.Coefficients.size());
       for (size_t C = 0; C < Reference.Coefficients.size(); ++C)
         ASSERT_EQ(Got.Coefficients[C], Reference.Coefficients[C])
-            << Shards << " shards, " << Threads << " threads, coef " << C;
+            << "coef " << C;
       for (uint32_t T = 0; T < 41; ++T)
         ASSERT_EQ(Got.TenantEnergy[T], Reference.TenantEnergy[T])
-            << Shards << " shards, " << Threads << " threads, tenant " << T;
+            << "tenant " << T;
       ASSERT_EQ(Got.FleetEnergy, Reference.FleetEnergy);
       ASSERT_EQ(Got.Staleness, Reference.Staleness);
       ASSERT_EQ(Got.Retrains, Reference.Retrains);
@@ -611,9 +628,9 @@ TEST(ServingEngine, RlsAndRefitRetrainAgreeToSolverPrecision) {
   ASSERT_TRUE(bool(Trace));
 
   RetrainResult Rls =
-      replayRetrain(*Trace, 41, ml::FitAlgorithm::Rls, 2, 256);
+      replayRetrain(*Trace, 41, ml::FitAlgorithm::Rls, 256, 256);
   RetrainResult Refit =
-      replayRetrain(*Trace, 41, ml::FitAlgorithm::Refit, 2, 256);
+      replayRetrain(*Trace, 41, ml::FitAlgorithm::Refit, 256, 256);
 
   ASSERT_EQ(Rls.Retrains, Refit.Retrains);
   for (size_t C = 0; C < Rls.Coefficients.size(); ++C)
@@ -646,7 +663,6 @@ TEST(ServingEngine, OnlineRetrainTracksDriftBetterThanFrozenModel) {
   ml::RlsLinearRegression Frozen;
   ASSERT_TRUE(bool(Frozen.fit(Seed)));
   ServingConfig Config;
-  Config.NumShards = 2;
   Config.EpochSize = 256;
   Config.ScoreLabels = true;
   ServingEngine FrozenEngine(Frozen, Trace->width(), 41, Trace->numApps(),
@@ -656,7 +672,7 @@ TEST(ServingEngine, OnlineRetrainTracksDriftBetterThanFrozenModel) {
   const double FrozenStaleness = FrozenEngine.stats().stalenessError();
 
   RetrainResult Online =
-      replayRetrain(*Trace, 41, ml::FitAlgorithm::Rls, 2, 256);
+      replayRetrain(*Trace, 41, ml::FitAlgorithm::Rls, 256, 256);
   EXPECT_GT(Online.Retrains, 0u);
   EXPECT_GT(FrozenStaleness, 0.0);
   EXPECT_LT(Online.Staleness, FrozenStaleness);
@@ -749,7 +765,7 @@ void expectSameTables(const ServingEngine &Got, const ServingEngine &Want) {
 
 } // namespace
 
-TEST(ServingEngine, RefusesOutOfRangeIdsAtAnyShardAndThreadCount) {
+TEST(ServingEngine, RefusesOutOfRangeIdsAtAnyBatchSizeAndThreadCount) {
   // A row naming a tenant or app outside the fleet, or carrying a NaN or
   // infinite feature, is refused at ingest on the FP and the quantized
   // path alike: never staged, counted once in Refused, and the tables,
@@ -766,15 +782,14 @@ TEST(ServingEngine, RefusesOutOfRangeIdsAtAnyShardAndThreadCount) {
 
   const ml::Model *Models[] = {&Fp, Quant->get()};
   for (const ml::Model *M : Models)
-    for (unsigned Shards : {1u, 2u, 8u})
-      for (unsigned Threads : {1u, 4u}) {
-        SCOPED_TRACE(M->name() + ", " + std::to_string(Shards) + " shards, " +
-                     std::to_string(Threads) + " threads");
+    for (size_t BatchSize : BatchSizes)
+      for (unsigned Threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(M->name() + ", batch size " + std::to_string(BatchSize) +
+                     ", " + std::to_string(Threads) + " threads");
         ThreadPool::setGlobalThreadCount(Threads);
         ServingConfig Config;
-        Config.NumShards = Shards;
         Config.EpochSize = 500;
-        Config.BatchSize = 32;
+        Config.BatchSize = BatchSize;
         const ServingEngine Want = replayed(*M, Clean, Config);
         ServingEngine Got(*M, Mixed.Width, Mixed.NumTenants, Mixed.NumApps,
                           Config);
@@ -834,15 +849,14 @@ TEST(ServingEngine, ReplayRefusesTraceRowsOutsideTheFleet) {
 
   const ml::Model *Models[] = {Lr.get(), Quant->get()};
   for (const ml::Model *M : Models)
-    for (unsigned Shards : {1u, 2u, 8u})
-      for (unsigned Threads : {1u, 4u}) {
-        SCOPED_TRACE(M->name() + ", " + std::to_string(Shards) + " shards, " +
-                     std::to_string(Threads) + " threads");
+    for (size_t BatchSize : BatchSizes)
+      for (unsigned Threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(M->name() + ", batch size " + std::to_string(BatchSize) +
+                     ", " + std::to_string(Threads) + " threads");
         ThreadPool::setGlobalThreadCount(Threads);
         ServingConfig Config;
-        Config.NumShards = Shards;
         Config.EpochSize = 700;
-        Config.BatchSize = 32;
+        Config.BatchSize = BatchSize;
         ServingEngine Want(*M, Trace->width(), NumTenants, NumApps, Config);
         for (size_t I = 0; I < Trace->size(); ++I)
           Want.ingest(Trace->tenant(I), Trace->app(I), Trace->features(I));
@@ -857,9 +871,42 @@ TEST(ServingEngine, ReplayRefusesTraceRowsOutsideTheFleet) {
       }
 }
 
+TEST(ServingEngine, QuantizedEngineServesLabeledIngestLikeReplay) {
+  // The quantized path ignores labels: a labeled trace fed row by row
+  // through labeled ingest serves exactly what a replay of it serves.
+  Machine Rig(Platform::intelSkylakeServer(), 45);
+  auto Trace = makeDriftingTrace(Rig, 3000, /*DriftMax=*/0.3);
+  ASSERT_TRUE(bool(Trace));
+  std::vector<std::string> Names;
+  for (size_t F = 0; F < Trace->width(); ++F)
+    Names.push_back("pmc" + std::to_string(F));
+  ml::Dataset Head(Names);
+  for (size_t I = 0; I < 300; ++I)
+    Head.addRow(Trace->features(I), Trace->label(I));
+  auto Quant = ml::QuantizedModel::build(fittedLr(Head), Head);
+  ASSERT_TRUE(bool(Quant));
+
+  ServingConfig Config;
+  Config.EpochSize = 700;
+  Config.BatchSize = 32;
+  ServingEngine Want(**Quant, Trace->width(), 41, Trace->numApps(), Config);
+  Want.replay(*Trace);
+  ServingEngine Got(**Quant, Trace->width(), 41, Trace->numApps(), Config);
+  for (size_t I = 0; I < Trace->size(); ++I)
+    ASSERT_TRUE(Got.ingest(Trace->tenant(I), Trace->app(I),
+                           Trace->features(I), Trace->label(I)))
+        << "row " << I;
+  Got.endEpoch();
+  EXPECT_EQ(Got.stats().Observations, Trace->size());
+  EXPECT_EQ(Got.stats().Observations, Want.stats().Observations);
+  EXPECT_EQ(Got.stats().Epochs, Want.stats().Epochs);
+  EXPECT_EQ(Got.stats().Refused, Want.stats().Refused);
+  expectSameTables(Got, Want);
+}
+
 TEST(ServingEngine, QuantizedQueriesSeeTheLastFoldWhileBatchesFlush) {
-  // The quantized path flushes a shard's batch into its quanta the moment
-  // the batch fills, mid-epoch; the cells queries read change only at a
+  // The quantized path flushes its batch into the quanta the moment the
+  // batch fills, mid-epoch; the cells queries read change only at a
   // fold. So between folds every query returns the last fold's totals,
   // and 0 before the first.
   ml::Dataset Train = miniTrainingSet(3, 0x3A);
@@ -867,7 +914,6 @@ TEST(ServingEngine, QuantizedQueriesSeeTheLastFoldWhileBatchesFlush) {
   ASSERT_TRUE(bool(Quant));
   MiniTrace T = makeMiniTrace(2000, 13, 3, 3, 0xF01D);
   ServingConfig Config;
-  Config.NumShards = 2;
   Config.EpochSize = 500;
   Config.BatchSize = 16;
   ServingEngine Engine(**Quant, T.Width, T.NumTenants, T.NumApps, Config);
